@@ -527,6 +527,27 @@ int main() {
     return v + (int)(acc & 0);
 }`,
 		},
+		{
+			Name:  "clean-zero-length",
+			Class: Clean,
+			Desc: "zero-length local array and malloc(0) passed to a callee and " +
+				"freed (false-positive control: the zero-size object's pointer " +
+				"must stay inside its own slot)",
+			Src: `
+long sum(char *p, long n) {
+    long k = 0;
+    for (long i = 0; i < n; i++) { k += p[i]; }
+    return k;
+}
+
+int main() {
+    char buf[0];
+    char *z = malloc(0);
+    long k = sum(buf, 0) + sum(z, 0);
+    free(z);
+    return (int)k;
+}`,
+		},
 	}
 }
 

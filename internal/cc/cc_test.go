@@ -2,6 +2,7 @@ package cc
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -426,6 +427,37 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Compile(src, ctypes.NewTable()); err == nil {
 			t.Errorf("Compile accepted bad program: %s", src)
+		}
+	}
+}
+
+// TestIncompleteObjectTypes: declaring, allocating or taking sizeof of
+// an object whose type never gets a definition is a diagnostic, not a
+// panic in the frontend or in a later pass.
+func TestIncompleteObjectTypes(t *testing.T) {
+	cases := []string{
+		`int main(){ struct A a; return 0; }`,
+		`int A(){{new struct A;}}`,
+		`int main(){ struct A *p = new struct A[2]; return 0; }`,
+		`int main(){ return (int)sizeof(struct A); }`,
+		`struct A g; int main(){ return 0; }`,
+		`int main(){ struct A a[2]; return 0; }`,
+		`struct A g[2][2]; int main(){ return 0; }`,
+		`struct S { int n; struct A tail[]; }; int main(){ return 0; }`,
+	}
+	for _, src := range cases {
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Compile panicked on %s: %v", src, r)
+				}
+			}()
+			_, err = Compile(src, ctypes.NewTable())
+		}()
+		var pe *ParseError
+		if !errors.As(err, &pe) {
+			t.Errorf("Compile(%s) = %v, want a ParseError", src, err)
 		}
 	}
 }

@@ -56,6 +56,9 @@ func CompileInto(src string, prog *mir.Program) (err error) {
 		if prog.GlobalIndex(g.name) >= 0 {
 			lo.fail(g.pos, "redefinition of global %q", g.name)
 		}
+		if !g.typ.IsComplete() {
+			lo.fail(g.pos, "global %q has incomplete type %s", g.name, g.typ)
+		}
 		gi := prog.AddGlobal(g.name, g.typ, uint64(g.count))
 		prog.Globals[gi].Array = g.isArr
 	}
@@ -386,6 +389,9 @@ func (lo *lowerer) lowerDecl(s *declStmt) {
 			lo.fail(s.pos, "array initialisers are not supported")
 		}
 	case s.typ.IsRecord():
+		if !s.typ.IsComplete() {
+			lo.fail(s.pos, "variable %q has incomplete type %s", s.name, s.typ)
+		}
 		addr := lo.b.Alloca(s.typ, 1)
 		lo.define(s.name, &symbol{typ: s.typ, reg: addr, isMem: true})
 		if s.init != nil {

@@ -38,6 +38,9 @@ func (lo *lowerer) lowerExpr(e expr, hint *ctypes.Type) value {
 	case *fieldExpr:
 		return lo.loadLValue(lo.lowerLValue(e), e.tok)
 	case *sizeofExpr:
+		if !e.typ.IsComplete() {
+			lo.fail(e.tok, "sizeof applied to incomplete type %s", e.typ)
+		}
 		return value{ctypes.ULong, lo.b.Const(ctypes.ULong, e.typ.Size())}
 	case *unaryExpr:
 		return lo.lowerUnary(e, hint)
@@ -61,6 +64,9 @@ func (lo *lowerer) lowerExpr(e expr, hint *ctypes.Type) value {
 		}
 		return value{ptr.typ, lo.b.Realloc(ptr.reg, size.reg)}
 	case *newExpr:
+		if !e.typ.IsComplete() {
+			lo.fail(e.tok, "new of incomplete type %s", e.typ)
+		}
 		if e.count == nil {
 			size := lo.b.Const(ctypes.ULong, e.typ.Size())
 			return value{lo.tb.PointerTo(e.typ), lo.b.Malloc(e.typ, size)}

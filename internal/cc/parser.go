@@ -232,12 +232,24 @@ func (p *parser) parseDeclarator(base *ctypes.Type, allowFAM bool) (*ctypes.Type
 	}
 	typ := base
 	for i := len(dims) - 1; i >= 0; i-- {
-		typ = p.tb.ArrayOf(typ, dims[i])
+		typ = p.arrayOf(nameTok, typ, dims[i])
 	}
 	if fam {
+		if !typ.IsComplete() {
+			p.fail(nameTok, "array of incomplete type %s", typ)
+		}
 		typ = p.tb.IncompleteArrayOf(typ)
 	}
 	return typ, nameTok.text
+}
+
+// arrayOf is Table.ArrayOf with a diagnostic instead of a panic for an
+// incomplete element type.
+func (p *parser) arrayOf(tok token, elem *ctypes.Type, n int64) *ctypes.Type {
+	if !elem.IsComplete() {
+		p.fail(tok, "array of incomplete type %s", elem)
+	}
+	return p.tb.ArrayOf(elem, n)
 }
 
 // parseTypeName parses an abstract type usage (casts, sizeof, new):
@@ -254,7 +266,7 @@ func (p *parser) parseTypeName() *ctypes.Type {
 		}
 		p.next()
 		p.expect("]")
-		typ = p.tb.ArrayOf(typ, szTok.ival)
+		typ = p.arrayOf(szTok, typ, szTok.ival)
 	}
 	return typ
 }
@@ -322,7 +334,7 @@ func (p *parser) parseGlobalOrFunc(f *file) {
 	// "S x[8] bound to S[8]").
 	if len(dims) > 0 {
 		for i := len(dims) - 1; i >= 1; i-- {
-			typ = p.tb.ArrayOf(typ, dims[i])
+			typ = p.arrayOf(nameTok, typ, dims[i])
 		}
 		g.count = dims[0]
 		g.isArr = true

@@ -273,7 +273,13 @@ const (
 // allocator that stores {type, size} at the slot base and returns the
 // address just past the header. The returned memory is zeroed.
 func (r *Runtime) TypeMalloc(t *ctypes.Type, size uint64, kind AllocKind) (uint64, error) {
-	base, err := r.alloc.Alloc(MetaSize + size)
+	slot := MetaSize + size
+	if size == 0 {
+		// A header-only slot would put the returned pointer one past the
+		// slot, where lowfat.Base resolves it to the next slot.
+		slot++
+	}
+	base, err := r.alloc.Alloc(slot)
 	if err != nil {
 		return 0, fmt.Errorf("type_malloc(%s, %d): %w", t, size, err)
 	}

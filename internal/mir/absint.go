@@ -373,58 +373,60 @@ func itvMin(x, y itv) itv {
 // mark every involved site leaked and degrade to ⊤.
 const maxSites = 4
 
+// siteSet is a sorted set of at most maxSites allocation-site ids,
+// stored inline (unused ids stay zero) so abstract values hold no
+// pointers and compare with ==.
+type siteSet struct {
+	n   uint8
+	ids [maxSites]int32
+}
+
+func oneSite(id int) siteSet { return siteSet{n: 1, ids: [maxSites]int32{int32(id)}} }
+
+// unionSites merges two site sets; ok is false when the union would
+// exceed maxSites.
+func unionSites(a, b siteSet) (u siteSet, ok bool) {
+	i, j := 0, 0
+	for i < int(a.n) || j < int(b.n) {
+		var id int32
+		switch {
+		case j == int(b.n) || (i < int(a.n) && a.ids[i] < b.ids[j]):
+			id = a.ids[i]
+			i++
+		case i == int(a.n) || b.ids[j] < a.ids[i]:
+			id = b.ids[j]
+			j++
+		default:
+			id = a.ids[i]
+			i++
+			j++
+		}
+		if u.n == maxSites {
+			return siteSet{}, false
+		}
+		u.ids[u.n] = id
+		u.n++
+	}
+	return u, true
+}
+
 // absVal is the abstract value of one register: either an integer range
-// (sites == nil) or a tracked pointer into one of a small set of
-// allocation sites at a byte offset in off (optionally also null).
+// (no sites) or a tracked pointer into one of a small set of allocation
+// sites at a byte offset in off (optionally also null). Values are kept
+// canonical — tracked values have num = ⊤, untracked ones a zero off and
+// mayNull unset — so == is lattice equality.
 type absVal struct {
 	num     itv
-	sites   []int
 	off     itv
+	sites   siteSet
 	mayNull bool
 }
 
 func topVal() absVal           { return absVal{num: topItv()} }
 func numVal(x itv) absVal      { return absVal{num: x} }
-func (v absVal) tracked() bool { return len(v.sites) > 0 }
+func (v absVal) tracked() bool { return v.sites.n > 0 }
 func (v absVal) isNullConst() bool {
 	return !v.tracked() && v.num.lo == 0 && v.num.hi == 0
-}
-
-func sitesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func unionSites(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j == len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i == len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func valsEqual(a, b absVal) bool {
-	return a.num == b.num && a.off == b.off && a.mayNull == b.mayNull &&
-		sitesEqual(a.sites, b.sites)
 }
 
 // Abstract bounds-register lattice.
@@ -434,6 +436,8 @@ const (
 	bndRange              // site-relative [lo, hi), possibly also Wide
 )
 
+// absBnd is one abstract bounds register. Only bndRange facts set
+// mayWide, lo and hi, so == is lattice equality.
 type absBnd struct {
 	kind    uint8
 	mayWide bool // bndRange: runtime value may also be Wide
@@ -442,16 +446,6 @@ type absBnd struct {
 
 func wideBnd() absBnd { return absBnd{kind: bndWide} }
 func topBnd() absBnd  { return absBnd{kind: bndTop} }
-
-func bndsEqual(a, b absBnd) bool {
-	if a.kind != b.kind {
-		return false
-	}
-	if a.kind != bndRange {
-		return true
-	}
-	return a.mayWide == b.mayWide && a.lo == b.lo && a.hi == b.hi
-}
 
 func joinBnd(a, b absBnd) absBnd {
 	if a.kind == bndTop || b.kind == bndTop {
@@ -482,18 +476,64 @@ func widenBnd(prev, next absBnd) absBnd {
 	return j
 }
 
-// absState is the per-program-point fact: one value and one bounds fact
-// per register.
-type absState struct {
-	vals []absVal
-	bnds []absBnd
+// chunkRegs is the number of registers per copy-on-write state chunk.
+const chunkRegs = 16
+
+// chunk holds the facts of chunkRegs consecutive registers. It holds no
+// pointers, so the garbage collector never scans it.
+type chunk struct {
+	vals [chunkRegs]absVal
+	bnds [chunkRegs]absBnd
 }
 
+type chunkRef struct {
+	c     *chunk
+	owned bool // c is referenced by this state only and may be written in place
+}
+
+// absState is the per-program-point fact: one value and one bounds fact
+// per register, stored in copy-on-write chunks. States share chunks
+// after clone; the first write to a shared chunk copies it. A chunk
+// shared by two states is therefore never written again, which lets
+// joins, widening and equality skip pointer-identical chunks.
+type absState struct {
+	refs []chunkRef
+}
+
+// clone returns a state sharing every chunk with st. Both states lose
+// ownership, so neither can write a shared chunk in place.
 func (st *absState) clone() *absState {
-	c := &absState{vals: make([]absVal, len(st.vals)), bnds: make([]absBnd, len(st.bnds))}
-	copy(c.vals, st.vals)
-	copy(c.bnds, st.bnds)
+	c := &absState{refs: make([]chunkRef, len(st.refs))}
+	for i := range st.refs {
+		st.refs[i].owned = false
+		c.refs[i].c = st.refs[i].c
+	}
 	return c
+}
+
+func (st *absState) val(r int) absVal { return st.refs[r/chunkRegs].c.vals[r%chunkRegs] }
+func (st *absState) bnd(r int) absBnd { return st.refs[r/chunkRegs].c.bnds[r%chunkRegs] }
+
+// own returns chunk i of st for writing, copying it first if shared.
+func (st *absState) own(i int) *chunk {
+	ref := &st.refs[i]
+	if !ref.owned {
+		c := *ref.c
+		ref.c, ref.owned = &c, true
+	}
+	return ref.c
+}
+
+func (st *absState) setVal(r int, v absVal) {
+	if st.val(r) != v {
+		st.own(r / chunkRegs).vals[r%chunkRegs] = v
+	}
+}
+
+func (st *absState) setBnd(r int, b absBnd) {
+	if st.bnd(r) != b {
+		st.own(r / chunkRegs).bnds[r%chunkRegs] = b
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -616,14 +656,14 @@ func (a *analysis) siteFor(k siteKind, f *Func, bi, ii int, elem *ctypes.Type, e
 	return id
 }
 
-func (a *analysis) leakSites(ids []int) {
-	for _, id := range ids {
+func (a *analysis) leakSites(s siteSet) {
+	for _, id := range s.ids[:s.n] {
 		a.sites[id].leaked = true
 	}
 }
 
-func (a *analysis) freeSites(ids []int) {
-	for _, id := range ids {
+func (a *analysis) freeSites(s siteSet) {
+	for _, id := range s.ids[:s.n] {
 		if a.sites[id].kind != siteGlobal {
 			a.sites[id].freed = true
 		}
@@ -643,9 +683,10 @@ func (a *analysis) freeUnknown() {
 func (a *analysis) joinVal(x, y absVal) absVal {
 	switch {
 	case x.tracked() && y.tracked():
-		u := unionSites(x.sites, y.sites)
-		if len(u) > maxSites {
-			a.leakSites(u)
+		u, ok := unionSites(x.sites, y.sites)
+		if !ok {
+			a.leakSites(x.sites)
+			a.leakSites(y.sites)
 			return topVal()
 		}
 		return absVal{num: topItv(), sites: u, off: joinItv(x.off, y.off),
@@ -679,26 +720,80 @@ func (a *analysis) widenVal(prev, next absVal) absVal {
 	return j
 }
 
+// writable returns chunk ci of *out for writing, first replacing *out
+// with a clone of base while it still is the unmodified base.
+func writable(out **absState, base *absState, ci int) *chunk {
+	if *out == base {
+		*out = base.clone()
+	}
+	return (*out).own(ci)
+}
+
+// joinState returns the pointwise join of x and y, sharing with x every
+// chunk the join leaves unchanged (x itself when nothing changes).
+// Pointer-identical chunks and registers with equal facts are skipped.
+// That is exact: the join is idempotent, and joinVal(v, v) has no side
+// effect, since a site set never exceeds maxSites and so cannot leak.
 func (a *analysis) joinState(x, y *absState) *absState {
-	out := x.clone()
-	for i := range out.vals {
-		out.vals[i] = a.joinVal(out.vals[i], y.vals[i])
-		// A join that loses provenance invalidates the site-relative
-		// bounds pairing; degrade to ⊤ rather than carry a range whose
-		// base register no longer certainly points at the base site.
-		if out.vals[i].tracked() != (x.vals[i].tracked() && y.vals[i].tracked()) &&
-			!out.vals[i].tracked() {
-			out.bnds[i] = topBnd()
+	out := x
+	for ci := range x.refs {
+		xc, yc := x.refs[ci].c, y.refs[ci].c
+		if xc == yc {
 			continue
 		}
-		out.bnds[i] = joinBnd(out.bnds[i], y.bnds[i])
+		for j := range xc.vals {
+			xv, yv, xb := xc.vals[j], yc.vals[j], xc.bnds[j]
+			if xv == yv && xb == yc.bnds[j] {
+				continue
+			}
+			v := a.joinVal(xv, yv)
+			// A join that loses provenance invalidates the site-relative
+			// bounds pairing; degrade to ⊤ rather than carry a range whose
+			// base register no longer certainly points at the base site.
+			b := topBnd()
+			if v.tracked() || !xv.tracked() || !yv.tracked() {
+				b = joinBnd(xb, yc.bnds[j])
+			}
+			if v != xv {
+				writable(&out, x, ci).vals[j] = v
+			}
+			if b != xb {
+				writable(&out, x, ci).bnds[j] = b
+			}
+		}
+	}
+	return out
+}
+
+// widenState widens every register of prev by next, sharing with next
+// every chunk the widening leaves unchanged. It skips like joinState:
+// widening is idempotent too.
+func (a *analysis) widenState(prev, next *absState) *absState {
+	out := next
+	for ci := range next.refs {
+		pc, nc := prev.refs[ci].c, next.refs[ci].c
+		if pc == nc {
+			continue
+		}
+		for j := range nc.vals {
+			if pv, nv := pc.vals[j], nc.vals[j]; pv != nv {
+				if v := a.widenVal(pv, nv); v != nv {
+					writable(&out, next, ci).vals[j] = v
+				}
+			}
+			if pb, nb := pc.bnds[j], nc.bnds[j]; pb != nb {
+				if b := widenBnd(pb, nb); b != nb {
+					writable(&out, next, ci).bnds[j] = b
+				}
+			}
+		}
 	}
 	return out
 }
 
 func statesEq(x, y *absState) bool {
-	for i := range x.vals {
-		if !valsEqual(x.vals[i], y.vals[i]) || !bndsEqual(x.bnds[i], y.bnds[i]) {
+	for ci := range x.refs {
+		if xc, yc := x.refs[ci].c, y.refs[ci].c; xc != yc && *xc != *yc {
 			return false
 		}
 	}
@@ -735,7 +830,7 @@ func (a *analysis) joinEntry(fa *funcAbs, args []absVal) bool {
 		} else {
 			next = a.joinVal(fa.entry[i], arg)
 		}
-		if !valsEqual(fa.entry[i], next) {
+		if fa.entry[i] != next {
 			fa.entry[i] = next
 			changed = true
 		}
@@ -758,7 +853,7 @@ func (a *analysis) joinRet(fa *funcAbs, v absVal) bool {
 	} else {
 		next = a.joinVal(fa.ret, v)
 	}
-	if valsEqual(fa.ret, next) {
+	if fa.ret == next {
 		return false
 	}
 	fa.ret = next
@@ -795,14 +890,7 @@ func (a *analysis) analyze(fa *funcAbs, classify func(bi, ii int, v Verdict, rea
 		EdgeTransfer: func(from, to int, out *absState) *absState {
 			return st.refineEdge(from, to, out)
 		},
-		Widen: func(prev, next *absState) *absState {
-			out := next.clone()
-			for i := range out.vals {
-				out.vals[i] = a.widenVal(prev.vals[i], next.vals[i])
-				out.bnds[i] = widenBnd(prev.bnds[i], next.bnds[i])
-			}
-			return out
-		},
+		Widen: a.widenState,
 	}
 	in, solved := SolveForward(fa.cfg, prob)
 	if classify == nil {
@@ -862,20 +950,29 @@ type stepper struct {
 	fa *funcAbs
 }
 
+// initChunk is every register's fact on function entry: frame
+// registers start zeroed and every bounds register starts Wide (the
+// interpreter's init state). It is shared by all entry states and never
+// written.
+var initChunk = func() *chunk {
+	c := &chunk{}
+	for i := range c.vals {
+		c.vals[i] = numVal(constItv(0))
+		c.bnds[i] = wideBnd()
+	}
+	return c
+}()
+
 func (s *stepper) entryState() *absState {
-	n := s.fa.f.NumRegs
-	st := &absState{vals: make([]absVal, n), bnds: make([]absBnd, n)}
-	for i := range st.vals {
-		// Frame registers start zeroed; every bounds register starts
-		// Wide (the interpreter's init state).
-		st.vals[i] = numVal(constItv(0))
-		st.bnds[i] = wideBnd()
+	st := &absState{refs: make([]chunkRef, (s.fa.f.NumRegs+chunkRegs-1)/chunkRegs)}
+	for i := range st.refs {
+		st.refs[i].c = initChunk
 	}
 	for i := range s.fa.f.Params {
 		if i < len(s.fa.entry) {
-			st.vals[i] = s.fa.entry[i]
+			st.setVal(i, s.fa.entry[i])
 		} else {
-			st.vals[i] = topVal()
+			st.setVal(i, topVal())
 		}
 	}
 	return st
@@ -886,8 +983,8 @@ func (s *stepper) entryState() *absState {
 func (s *stepper) leakUsed(st *absState, ins *Instr) {
 	uses, _ := ins.Regs()
 	for _, r := range uses {
-		if r >= 0 && st.vals[r].tracked() {
-			s.a.leakSites(st.vals[r].sites)
+		if r >= 0 && st.val(r).tracked() {
+			s.a.leakSites(st.val(r).sites)
 		}
 	}
 }
@@ -896,8 +993,8 @@ func (s *stepper) setDef(st *absState, dst int, v absVal, b absBnd) {
 	if dst < 0 {
 		return
 	}
-	st.vals[dst] = v
-	st.bnds[dst] = b
+	st.setVal(dst, v)
+	st.setBnd(dst, b)
 }
 
 func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, int, Verdict, string)) {
@@ -911,7 +1008,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, numVal(constItv(ins.Imm)), topBnd())
 
 	case OpMov:
-		s.setDef(st, ins.Dst, st.vals[ins.A], st.bnds[ins.A])
+		s.setDef(st, ins.Dst, st.val(ins.A), st.bnd(ins.A))
 
 	case OpBin:
 		s.setDef(st, ins.Dst, s.binVal(st, ins), topBnd())
@@ -920,7 +1017,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, numVal(itv{0, 1}), topBnd())
 
 	case OpCast:
-		v := st.vals[ins.A]
+		v := st.val(ins.A)
 		if v.tracked() && ins.Type != nil && scalarWidth(ins.Type) < 8 {
 			// Truncation garbles the address; the bits may still let a
 			// crafted program reach the site, so treat as a leak.
@@ -930,18 +1027,18 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 			v = numVal(castItv(v.num, ins.Type))
 		}
 		// The interpreter propagates the bounds register on every cast.
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpGlobal:
 		id := a.globalSite[ins.Aux]
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpAlloca:
 		ext := ins.Aux * ins.Type.Size()
 		id := a.siteFor(siteAlloca, s.fa.f, bi, ii, ins.Type, ext)
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpMalloc:
 		if ins.Aux == MallocLegacy {
@@ -949,22 +1046,22 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 			return
 		}
 		ext := int64(-1)
-		if sz := st.vals[ins.A]; !sz.tracked() && sz.num.isConst() && sz.num.lo >= 0 {
+		if sz := st.val(ins.A); !sz.tracked() && sz.num.isConst() && sz.num.lo >= 0 {
 			ext = sz.num.lo
 		}
 		id := a.siteFor(siteMalloc, s.fa.f, bi, ii, ins.Type, ext)
 		s.setDef(st, ins.Dst,
-			absVal{num: topItv(), sites: []int{id}, off: constItv(0)}, wideBnd())
+			absVal{num: topItv(), sites: oneSite(id), off: constItv(0)}, wideBnd())
 
 	case OpFree:
-		if v := st.vals[ins.A]; v.tracked() {
+		if v := st.val(ins.A); v.tracked() {
 			a.freeSites(v.sites)
 		} else {
 			a.freeUnknown()
 		}
 
 	case OpRealloc:
-		if v := st.vals[ins.A]; v.tracked() {
+		if v := st.val(ins.A); v.tracked() {
 			a.freeSites(v.sites)
 		} else {
 			a.freeUnknown()
@@ -975,22 +1072,22 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		s.setDef(st, ins.Dst, topVal(), wideBnd())
 
 	case OpStore:
-		if v := st.vals[ins.B]; v.tracked() {
+		if v := st.val(ins.B); v.tracked() {
 			a.leakSites(v.sites)
 		}
 
 	case OpField:
-		v := st.vals[ins.A]
+		v := st.val(ins.A)
 		if v.tracked() {
 			v.off = addItv(v.off, constItv(ins.Aux))
 		} else {
 			v.num = addItv(v.num, constItv(ins.Aux))
 		}
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpIndex:
-		v := st.vals[ins.A]
-		idx := st.vals[ins.B]
+		v := st.val(ins.A)
+		idx := st.val(ins.B)
 		scaled := topItv()
 		if !idx.tracked() {
 			scaled = mulConst(idx.num, ins.Type.Size())
@@ -1000,7 +1097,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		} else {
 			v.num = addItv(v.num, scaled)
 		}
-		s.setDef(st, ins.Dst, v, st.bnds[ins.A])
+		s.setDef(st, ins.Dst, v, st.bnd(ins.A))
 
 	case OpMemcpy, OpMemset:
 		// Byte-level memory traffic; register provenance is unaffected
@@ -1012,9 +1109,9 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 
 	case OpRet:
 		if ins.A >= 0 {
-			v := st.vals[ins.A]
+			v := st.val(ins.A)
 			if v.tracked() {
-				for _, id := range v.sites {
+				for _, id := range v.sites.ids[:v.sites.n] {
 					site := a.sites[id]
 					if site.kind == siteAlloca && site.fn == s.fa.f.Name {
 						site.retOwner = true
@@ -1033,13 +1130,13 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		if classify != nil {
 			classify(bi, ii, verdict, reason)
 		}
-		st.bnds[ins.A] = nb
+		st.setBnd(ins.A, nb)
 
 	case OpBoundsGet:
-		st.bnds[ins.A] = s.boundsGetFact(st.vals[ins.A])
+		st.setBnd(ins.A, s.boundsGetFact(st.val(ins.A)))
 
 	case OpBoundsNarrow:
-		st.bnds[ins.A] = s.narrowFact(st.vals[ins.A], st.bnds[ins.A], ins.Aux)
+		st.setBnd(ins.A, s.narrowFact(st.val(ins.A), st.bnd(ins.A), ins.Aux))
 
 	case OpBoundsCheck:
 		if classify != nil {
@@ -1056,7 +1153,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 	case OpBoundsMov:
 		// bounds[A] = bounds[B]: the copied range is relative to B's
 		// value, which we cannot re-relate to A's provenance here.
-		st.bnds[ins.A] = topBnd()
+		st.setBnd(ins.A, topBnd())
 
 	default:
 		// Unmodelled (record ops and future extensions): drop all
@@ -1065,8 +1162,8 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		_, defs := ins.Regs()
 		for _, d := range defs {
 			if d >= 0 {
-				st.vals[d] = topVal()
-				st.bnds[d] = topBnd()
+				st.setVal(d, topVal())
+				st.setBnd(d, topBnd())
 			}
 		}
 	}
@@ -1076,7 +1173,7 @@ func (s *stepper) binVal(st *absState, ins *Instr) absVal {
 	if ins.Type != nil && ins.Type.IsFloat() {
 		return topVal()
 	}
-	x, y := st.vals[ins.A], st.vals[ins.B]
+	x, y := st.val(ins.A), st.val(ins.B)
 	k := BinKind(ins.Aux)
 	// Pointer ± integer keeps provenance; everything else involving a
 	// tracked pointer obscures the address.
@@ -1146,7 +1243,7 @@ func castItv(x itv, to *ctypes.Type) itv {
 func (s *stepper) extents(v absVal) (minE, maxE int64, known, immortal bool, elem *ctypes.Type) {
 	known, immortal = true, true
 	minE, maxE = posInf, negInf
-	for i, id := range v.sites {
+	for i, id := range v.sites.ids[:v.sites.n] {
 		site := s.a.sites[id]
 		if site.extent < 0 {
 			known = false
@@ -1214,7 +1311,7 @@ func (s *stepper) narrowFact(v absVal, b absBnd, extent int64) absBnd {
 // Aux or dynamic register B).
 func (s *stepper) checkSize(st *absState, ins *Instr) itv {
 	if ins.B >= 0 {
-		if v := st.vals[ins.B]; !v.tracked() {
+		if v := st.val(ins.B); !v.tracked() {
 			return v.num
 		}
 		return topItv()
@@ -1223,11 +1320,11 @@ func (s *stepper) checkSize(st *absState, ins *Instr) itv {
 }
 
 func (s *stepper) classifyBoundsCheck(st *absState, ins *Instr) (Verdict, string) {
-	b := st.bnds[ins.A]
+	b := st.bnd(ins.A)
 	if b.kind == bndWide {
 		return VerdictSafe, "bounds register is provably wide"
 	}
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if b.kind != bndRange || !v.tracked() || v.mayNull {
 		return VerdictUnknown, ""
 	}
@@ -1240,21 +1337,21 @@ func (s *stepper) classifyBoundsCheck(st *absState, ins *Instr) (Verdict, string
 			"access %s+%s always within bounds [%s,%s)", v.off, sz, b.lo, b.hi)
 	}
 	// UNSAFE: the range is definite and every offset/size escapes it.
-	if !b.mayWide && len(v.sites) == 1 &&
+	if !b.mayWide && v.sites.n == 1 &&
 		(v.off.hi < b.lo.lo || v.off.hi != posInf && satAdd(v.off.lo, sz.lo) > b.hi.hi) {
 		return VerdictUnsafe, fmt.Sprintf(
 			"access at offset %s (size %s) always outside bounds [%s,%s) of %s",
-			v.off, sz, b.lo, b.hi, s.a.sites[v.sites[0]].name)
+			v.off, sz, b.lo, b.hi, s.a.sites[v.sites.ids[0]].name)
 	}
 	return VerdictUnknown, ""
 }
 
 func (s *stepper) classifyEscapeCheck(st *absState, ins *Instr) (Verdict, string) {
-	b := st.bnds[ins.A]
+	b := st.bnd(ins.A)
 	if b.kind == bndWide {
 		return VerdictSafe, "bounds register is provably wide"
 	}
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if b.kind != bndRange || !v.tracked() || v.mayNull {
 		return VerdictUnknown, ""
 	}
@@ -1263,11 +1360,11 @@ func (s *stepper) classifyEscapeCheck(st *absState, ins *Instr) (Verdict, string
 		return VerdictSafe, fmt.Sprintf(
 			"escaping pointer offset %s always within [%s,%s]", v.off, b.lo, b.hi)
 	}
-	if !b.mayWide && len(v.sites) == 1 &&
+	if !b.mayWide && v.sites.n == 1 &&
 		(v.off.hi < b.lo.lo || v.off.lo != negInf && v.off.lo > b.hi.hi) {
 		return VerdictUnsafe, fmt.Sprintf(
 			"escaping pointer offset %s always outside [%s,%s] of %s",
-			v.off, b.lo, b.hi, s.a.sites[v.sites[0]].name)
+			v.off, b.lo, b.hi, s.a.sites[v.sites.ids[0]].name)
 	}
 	return VerdictUnknown, ""
 }
@@ -1284,7 +1381,7 @@ func coercible(t *ctypes.Type) bool {
 }
 
 func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, absBnd) {
-	v := st.vals[ins.A]
+	v := st.val(ins.A)
 	if !v.tracked() {
 		return VerdictUnknown, "", topBnd()
 	}
@@ -1296,16 +1393,16 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 	// allocation, so the trivial prefix reports on every execution
 	// (below-base or beyond-extent, or use-after-free first — either
 	// way a report).
-	if len(v.sites) == 1 && !v.mayNull {
+	if v.sites.n == 1 && !v.mayNull {
 		if v.off.hi < 0 {
 			return VerdictUnsafe, fmt.Sprintf(
-					"pointer always %s bytes before %s", v.off, s.a.sites[v.sites[0]].name),
+					"pointer always %s bytes before %s", v.off, s.a.sites[v.sites.ids[0]].name),
 				wideBnd() // errors return Wide
 		}
 		if v.off.lo != negInf && v.off.lo > minE {
 			return VerdictUnsafe, fmt.Sprintf(
 				"pointer offset %s always beyond the %d-byte extent of %s",
-				v.off, minE, s.a.sites[v.sites[0]].name), wideBnd()
+				v.off, minE, s.a.sites[v.sites.ids[0]].name), wideBnd()
 		}
 	}
 	if !immortal {
@@ -1349,7 +1446,7 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 	if callee := a.funcs[ins.Callee]; callee != nil {
 		args := make([]absVal, len(ins.Args))
 		for i, r := range ins.Args {
-			args[i] = st.vals[r]
+			args[i] = st.val(r)
 		}
 		callee.callers[s.fa.f.Name] = true
 		if a.joinEntry(callee, args) {
@@ -1372,8 +1469,8 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 		// Unknown callee: the interpreter would fault; nothing to model
 		// beyond dropping knowledge about the arguments.
 		for _, r := range ins.Args {
-			if st.vals[r].tracked() {
-				a.leakSites(st.vals[r].sites)
+			if st.val(r).tracked() {
+				a.leakSites(st.val(r).sites)
 			}
 		}
 		s.setDef(st, ins.Dst, topVal(), wideBnd())
@@ -1381,7 +1478,7 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 	}
 	for _, idx := range d.Abs.FreesArgs {
 		if idx < len(ins.Args) {
-			if v := st.vals[ins.Args[idx]]; v.tracked() {
+			if v := st.val(ins.Args[idx]); v.tracked() {
 				a.freeSites(v.sites)
 			} else {
 				a.freeUnknown()
@@ -1396,7 +1493,7 @@ func (s *stepper) stepCall(st *absState, ins *Instr) {
 			elemArgs := make([]absVal, len(cmp.f.Params))
 			base := topVal()
 			if d.Abs.CmpElemArg < len(ins.Args) {
-				base = st.vals[ins.Args[d.Abs.CmpElemArg]]
+				base = st.val(ins.Args[d.Abs.CmpElemArg])
 			}
 			if base.tracked() {
 				base.off = itv{base.off.lo, posInf}
@@ -1493,7 +1590,7 @@ func (s *stepper) refineEdge(from, to int, out *absState) *absState {
 	default:
 		return out
 	}
-	va, vb := out.vals[bf.ra], out.vals[bf.rb]
+	va, vb := out.val(bf.ra), out.val(bf.rb)
 	if va.tracked() || vb.tracked() {
 		return out
 	}
@@ -1502,8 +1599,8 @@ func (s *stepper) refineEdge(from, to int, out *absState) *absState {
 		return out
 	}
 	ref := out.clone()
-	ref.vals[bf.ra] = absVal{num: na, mayNull: va.mayNull}
-	ref.vals[bf.rb] = absVal{num: nb, mayNull: vb.mayNull}
+	ref.setVal(bf.ra, absVal{num: na, mayNull: va.mayNull})
+	ref.setVal(bf.rb, absVal{num: nb, mayNull: vb.mayNull})
 	return ref
 }
 
