@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	effsan [-variant full|bounds|type|none] [-tool NAME] [-abort N] [-epoch] [-stats] prog.c
+//	effsan [-variant full|bounds|type|none] [-tool NAME] [-abort N] [-quarantine BYTES] [-stats] prog.c
 //	effsan -warn-static prog.c
 //
 // With -variant (default full) the program is instrumented per the
@@ -34,10 +34,6 @@ func main() {
 	tool := flag.String("tool", "", "run under a modelled baseline sanitizer instead")
 	abortAfter := flag.Uint64("abort", 0, "abort after N errors (0 = log all, the default)")
 	quarantine := flag.Uint64("quarantine", 0, "heap quarantine bytes (delays reuse)")
-	epoch := flag.Bool("epoch", false,
-		"DoubleTake-style epoch checking: record evidence on the hot path, batch-validate at epoch boundaries (identical detection, coarsened report location)")
-	epochCap := flag.Int("epoch-cap", 0,
-		"evidence events per log before a forced validation sweep (0 = default 2^16; implies -epoch)")
 	stats := flag.Bool("stats", false, "print runtime check statistics")
 	entry := flag.String("entry", "main", "entry function")
 	warnStatic := flag.Bool("warn-static", false,
@@ -85,17 +81,12 @@ func main() {
 		}
 		cfg = &sanitizers.Tool{Name: "EffectiveSan-" + *variant, Variant: variantV,
 			Quarantine: *quarantine}
-		if *epochCap > 0 {
-			cfg = cfg.WithEpochCap(*epochCap)
-		} else if *epoch {
-			cfg = cfg.WithEpochChecks()
-		}
 	}
 
 	// Rebuild the EffectiveSan path by hand when abort-after is wanted,
 	// since Tool.Exec always logs without stopping.
 	if *abortAfter > 0 && *tool == "" {
-		runWithAbort(prog, cfg, *entry, *abortAfter, *quarantine, *stats)
+		runWithAbort(prog, cfg, *entry, *abortAfter, *stats)
 		return
 	}
 
@@ -135,17 +126,11 @@ func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
 	return 1
 }
 
-func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string,
-	abortAfter, quarantine uint64, stats bool) {
-
-	ip, _ := instrument.Instrument(prog, instrument.Options{
-		Variant: cfg.Variant, EpochChecks: cfg.EpochChecks, StaticEntry: entry,
-	})
-	rt := core.NewRuntime(core.Options{
-		Types: prog.Types, Mode: core.ModeLog,
-		AbortAfter: abortAfter, Quarantine: quarantine,
-		EpochChecks: cfg.EpochChecks, EpochCap: cfg.EpochCap,
-	})
+func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool) {
+	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions(entry))
+	opts := cfg.RuntimeOptions(prog.Types)
+	opts.AbortAfter = abortAfter
+	rt := core.NewRuntime(opts)
 	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: os.Stdout})
 	if err != nil {
 		fatal(err)
@@ -181,11 +166,6 @@ func report(rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
 			st.CheckCacheHitRate()*100, st.LayoutMatches)
 		fmt.Printf("allocations:    heap %d, stack %d, global %d; frees %d\n",
 			st.HeapAllocs, st.StackAllocs, st.GlobalAllocs, st.Frees)
-		if st.EvidenceRecords > 0 || st.EpochSweeps > 0 {
-			fmt.Printf("epoch:          records %d, validations %d, sweeps %d, fallbacks %d; canaries %d (clobbered %d)\n",
-				st.EvidenceRecords, st.EpochValidations, st.EpochSweeps,
-				st.EpochFallbacks, st.CanaryChecks, st.CanaryClobbers)
-		}
 	}
 }
 

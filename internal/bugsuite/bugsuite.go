@@ -438,6 +438,26 @@ int main() {
 			Expect: []core.ErrorKind{core.BoundsError},
 		},
 		{
+			Name:  "libc-memcpy-failed-typecheck",
+			Class: Extra,
+			Desc: "memcpy source read through a pointer whose type check fails " +
+				"(a struct pointer bound to a pointer-sized object) and whose " +
+				"extent is too short for the copy: the failed type check is " +
+				"reported, and the intrinsic's own check still reports the " +
+				"source overread as bounds-error (memcpy src)",
+			Src: `
+struct LibA0 { int a; };
+struct LibA00 { long b; };
+
+int main() {
+    struct LibA0 *pa = new struct LibA00*;
+    char buf[16];
+    memcpy(buf, *&pa, 10);  // 10 bytes from an 8-byte object
+    return 0;
+}`,
+			Expect: []core.ErrorKind{core.TypeError, core.BoundsError},
+		},
+		{
 			Name:  "static-oob",
 			Class: Extra,
 			Desc: "constant out-of-bounds index into a fixed-extent global: the " +

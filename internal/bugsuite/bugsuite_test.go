@@ -109,6 +109,33 @@ func TestExpectPinned(t *testing.T) {
 	}
 }
 
+// TestFailedTypeCheckReachesIntrinsic: the bounds a failed type check
+// hands to memcpy still reach the intrinsic's own source check, which
+// reports under its "(memcpy src)" label next to the type error.
+func TestFailedTypeCheckReachesIntrinsic(t *testing.T) {
+	c := ByName("libc-memcpy-failed-typecheck")
+	if c == nil {
+		t.Fatal("case missing")
+	}
+	prog, err := c.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sanitizers.ToolEffectiveSan.Exec(prog, "main", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buckets []string
+	for _, is := range res.Reporter.Issues() {
+		buckets = append(buckets, is.Kind.String()+" "+is.StaticType)
+	}
+	sort.Strings(buckets)
+	want := []string{"bounds-error memcpy src", "type-error struct LibA0"}
+	if !equalStrings(buckets, want) {
+		t.Errorf("buckets %q, want %q\n%s", buckets, want, res.Reporter.Log())
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

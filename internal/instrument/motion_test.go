@@ -648,8 +648,6 @@ func TestMotionStatPartition(t *testing.T) {
 
 	for name, mod := range map[string]func(o *Options){
 		"nomotion": func(o *Options) { o.NoCheckMotion = true },
-		"perblock": func(o *Options) { o.NoCrossBlockElision = true },
-		"domtree":  func(o *Options) { o.DomTreeElision = true },
 		"noopt":    func(o *Options) { o.NoOptimize = true },
 	} {
 		opts := Options{Variant: Full, NoStaticElision: true}

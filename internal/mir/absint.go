@@ -1156,7 +1156,7 @@ func (s *stepper) step(st *absState, bi, ii int, ins *Instr, classify func(int, 
 		st.setBnd(ins.A, topBnd())
 
 	default:
-		// Unmodelled (record ops and future extensions): drop all
+		// Unmodelled (future extensions): drop all
 		// knowledge derivable from the instruction, soundly.
 		s.leakUsed(st, ins)
 		_, defs := ins.Regs()
@@ -1420,7 +1420,7 @@ func (s *stepper) classifyTypeCheck(st *absState, ins *Instr) (Verdict, string, 
 	// are the resulting bounds: the memo-gated fast path returns the
 	// allocation directly, and the layout cascade maps (t, t, 0) to the
 	// unbounded containing-array entry, which clips to the same
-	// allocation (core/runtime.go, typeCheckTrivial). The post-check
+	// allocation (core/runtime.go, typeCheckResolve). The post-check
 	// fact therefore spans the whole allocation.
 	if v.off.lo == 0 && v.off.hi == 0 && elem != nil && elem == ins.Type {
 		return VerdictSafe,

@@ -131,15 +131,7 @@ func (in *Interp) Run(fn string, args ...uint64) (res uint64, err error) {
 		}
 	}()
 	rs := &runState{budget: in.maxSteps}
-	v := in.exec(rs, f, args)
-	if in.eff != nil {
-		// End-of-run epoch boundary (no-op in precise mode): no register
-		// can hold an evidence handle past this point, so pending evidence
-		// validates and the provenance log is released. An AbortError from
-		// the sweep is recovered above, like any mid-run abort.
-		in.eff.EpochFlush()
-	}
-	return v, nil
+	return in.exec(rs, f, args), nil
 }
 
 type runState struct {
@@ -336,21 +328,6 @@ func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
 				in.effRT(ins).EscapeCheck(regs[ins.A], bregs[ins.A], ins.Site)
 			case OpBoundsMov:
 				bregs[ins.A] = bregs[ins.B]
-
-			case OpTypeRecord:
-				bregs[ins.A] = in.effRT(ins).TypeRecordAt(regs[ins.A], ins.Type, ins.Aux, ins.Site)
-			case OpBoundsRecord:
-				static := ""
-				if ins.Type != nil {
-					static = ins.Type.String()
-				}
-				size := uint64(ins.Aux)
-				if ins.B != -1 {
-					size = regs[ins.B] // dynamic extent (memcpy/memset)
-				}
-				in.effRT(ins).BoundsRecord(regs[ins.A], size, bregs[ins.A], static, ins.Site)
-			case OpEscapeRecord:
-				in.effRT(ins).EscapeRecord(regs[ins.A], bregs[ins.A], ins.Site)
 
 			default:
 				panic(simError{fmt.Sprintf("%s: unknown op %d", ins.Site, ins.Op)})

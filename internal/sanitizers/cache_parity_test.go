@@ -53,34 +53,29 @@ func TestCheckCachingDetectionParityFig1(t *testing.T) {
 	}
 }
 
-// knobMatrix returns the eight §5.3 knob combinations: per-site inline
-// cache × shared memo cache × cross-block elision, each on and off. The
-// base tool is copied, so the matrix composes with quarantine and mode
-// settings.
+// knobMatrix returns the four §5.3 cache knob combinations: per-site
+// inline cache × shared memo cache, each on and off. The base tool is
+// copied, so the matrix composes with quarantine and mode settings.
 func knobMatrix(base *Tool) []*Tool {
 	var tools []*Tool
 	for _, inline := range []bool{false, true} {
 		for _, shared := range []bool{false, true} {
-			for _, perblock := range []bool{false, true} {
-				cp := *base
-				cp.NoInlineCache = inline
-				if shared {
-					cp.CheckCache = -1
-				}
-				cp.NoCrossBlockElision = perblock
-				cp.Name = fmt.Sprintf("inline=%v shared=%v crossblock=%v",
-					!inline, !shared, !perblock)
-				tools = append(tools, &cp)
+			cp := *base
+			cp.NoInlineCache = inline
+			if shared {
+				cp.CheckCache = -1
 			}
+			cp.Name = fmt.Sprintf("inline=%v shared=%v", !inline, !shared)
+			tools = append(tools, &cp)
 		}
 	}
 	return tools
 }
 
 // TestKnobMatrixDetectionParityFig1 runs the Fig. 1 error-injection
-// corpus under every §5.3 knob combination: the caches and the elision
-// pass are performance-only, so every combination must detect exactly
-// the same issues on every case.
+// corpus under every §5.3 knob combination: the caches are
+// performance-only, so every combination must detect exactly the same
+// issues on every case.
 func TestKnobMatrixDetectionParityFig1(t *testing.T) {
 	tools := knobMatrix(ToolEffectiveSan)
 	for _, c := range bugsuite.Cases() {
