@@ -16,7 +16,7 @@
 //
 //	effbench -experiment difftest   the differential-fuzz oracle loop —
 //	                                progen libc programs swept through the
-//	                                whole elision/motion/cache/sharding
+//	                                whole elision/cache/sharding
 //	                                matrix, asserting byte-identical values
 //	                                and report buckets; -seed picks the
 //	                                base progen seed

@@ -78,21 +78,10 @@ type Options struct {
 	// upcast checks, subsumed bounds checks, redundant narrowing, and
 	// type-check reuse) — the Fig. 8 "no-opt" ablation configuration.
 	NoOptimize bool
-	// NoCheckReuse disables only the type-check reuse elision (a pointer
-	// whose provenance was already type-checked keeps the cached bounds
-	// instead of re-checking), leaving the other optimisations on — to
-	// isolate §5.3's redundant-check removal.
-	NoCheckReuse bool
 	// Naive replaces the input-pointer discipline with a type check
 	// before every single dereference — the strawman the schema's check
 	// minimisation is measured against (ablation only).
 	Naive bool
-	// NoCheckMotion disables the §5.3 check-MOTION suite while keeping
-	// check removal on: no value-numbered provenance in the elision
-	// lattice, no loop-invariant check hoisting, no partial-redundancy
-	// insertion — the "no-motion" Fig. 8 ablation. Motion rides on the
-	// elision pass, so it is implicitly off under NoOptimize.
-	NoCheckMotion bool
 	// NoIntrinsics leaves libc intrinsic calls unchecked: no check-site
 	// IDs are reserved for them, so the interpreter runs the bare
 	// operation without bounds/overlap/NUL-scan introspection — the
@@ -127,15 +116,12 @@ type Stats struct {
 	// justifying check lives in ANOTHER block — the wins only the
 	// CFG-aware available-check dataflow can see.
 	ElidedPathSensitive int
-	// The check-MOTION counters (all zero under NoCheckMotion). They
-	// partition from the elision counters above: a check removed via
-	// value-numbered provenance (rewritten to a bounds-register copy
-	// from the register that already holds the result) is charged to
-	// ValueNumberedElisions ONLY — not to ElidedRechecks and not to
-	// ElidedPathSensitive — so the ablation deltas are attributable.
-	HoistedChecks         int // checks moved to a loop preheader
-	PREInsertions         int // checks copied onto an edge to unify a join
-	ValueNumberedElisions int // type checks elided across registers via VN
+	// Always zero: the pass only removes checks, it never moves them
+	// (no loop hoisting, partial-redundancy insertion or value-numbered
+	// elision). perfbench still reads these fields.
+	HoistedChecks         int
+	PREInsertions         int
+	ValueNumberedElisions int
 	// CheckSites is the number of static OpTypeCheck sites that survived
 	// elision; each gets a stable 1-based site ID for the runtime's
 	// per-site inline caches.
@@ -147,13 +133,13 @@ type Stats struct {
 	IntrinsicSites int
 	// The static safety pass counters (staticsafe.go; all zero under
 	// NoStaticElision/NoOptimize). They partition from every counter
-	// above: a STATIC-SAFE check is deleted BEFORE the dynamic
-	// elision/motion passes run, so it can never also be charged to
-	// ElidedRechecks/ElidedPathSensitive/ValueNumberedElisions, and the
-	// residual bounds-register producers swept in its wake are counted
+	// above: a STATIC-SAFE check is deleted BEFORE the dynamic elision
+	// pass runs, so it can never also be charged to
+	// ElidedRechecks/ElidedPathSensitive, and the residual
+	// bounds-register producers swept in its wake are counted
 	// separately so ElidedStaticSafe stays "checks deleted".
 	ElidedStaticSafe     int // checks proven unable to fail, deleted
-	ElidedStaticResidual int // orphaned bounds_get/narrow/mov swept after deletion
+	ElidedStaticResidual int // orphaned bounds_get/narrow swept after deletion
 	StaticUnsafeSites    int // checks proven to fail whenever reached (kept)
 	// StaticDiags carries one compile-time diagnostic per STATIC-UNSAFE
 	// site, in deterministic (function, block, instruction) order.
@@ -173,14 +159,14 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 		instrumentFunc(out, f, opts, &st)
 	}
 	// The static safety pass sits between insertion and the dynamic
-	// optimisers: it deletes checks by interprocedural proof alone, so
-	// the elision/motion passes below see fewer sites.
+	// elision pass: it deletes checks by interprocedural proof alone, so
+	// the elision pass below sees fewer sites.
 	if staticElisionEnabled(opts) {
 		staticElide(out, opts, &st)
 	}
 	if !opts.NoOptimize {
 		for _, f := range out.Funcs {
-			optimizeFunc(f, opts, &st)
+			elideChecks(f, &st)
 		}
 	}
 	assignSiteIDs(out, opts, &st)
@@ -218,17 +204,6 @@ func instrumentFunc(p *mir.Program, f *mir.Func, opts Options, st *Stats) {
 			f.Blocks[0].Instrs = append(entry, f.Blocks[0].Instrs...)
 		}
 	}
-}
-
-// optimizeFunc runs the dynamic-redundancy optimisers (PR-2/4/6) on one
-// function. Split from instrumentFunc so the program-level static
-// safety pass can run between insertion and optimisation.
-func optimizeFunc(f *mir.Func, opts Options, st *Stats) {
-	if motionEnabled(opts) {
-		hoistChecks(f, st)
-		preInsertChecks(f, opts, st)
-	}
-	elideChecks(f, opts, st)
 }
 
 // inputCheck builds the check instruction for an input pointer: a type

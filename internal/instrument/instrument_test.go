@@ -83,7 +83,7 @@ func TestFig4Schema(t *testing.T) {
 
 	sum := ip.Funcs["sum"]
 	if got := countOps(sum, mir.OpTypeCheck); got != 1 {
-		t.Errorf("sum: %d type checks, want 1 (entry only, hoisted out of the loop)", got)
+		t.Errorf("sum: %d type checks, want 1 (entry only, not in the loop)", got)
 	}
 	if got := countOps(sum, mir.OpBoundsCheck); got != 1 {
 		t.Errorf("sum: %d bounds checks, want 1 (the element load)", got)
@@ -461,10 +461,6 @@ func TestRedundantTypeCheckReuse(t *testing.T) {
 	if st.ElidedRechecks != 1 {
 		t.Fatalf("rechecks elided = %d, want 1", st.ElidedRechecks)
 	}
-	_, stOff := Instrument(p, Options{Variant: Full, NoStaticElision: true, Naive: true, NoCheckReuse: true})
-	if stOff.ElidedRechecks != 0 {
-		t.Fatal("NoCheckReuse must keep redundant type checks")
-	}
 	_, stNoOpt := Instrument(p, Options{Variant: Full, Naive: true, NoOptimize: true})
 	if stNoOpt.ElidedRechecks != 0 {
 		t.Fatal("NoOptimize must keep redundant type checks")
@@ -696,7 +692,8 @@ func TestSiteIDAssignment(t *testing.T) {
 
 func TestTypeCheckReuseDetectionParity(t *testing.T) {
 	// The reuse pass is performance-only: a program with real errors
-	// must report the same issue kinds with and without it.
+	// must report the same issue kinds with and without it (NoOptimize
+	// turns reuse off along with the other elisions).
 	tb := ctypes.NewTable()
 	node := tb.MustParse("struct node2 { struct node2 *next; int v; }")
 	p := mir.NewProgram(tb)
@@ -723,7 +720,7 @@ func TestTypeCheckReuseDetectionParity(t *testing.T) {
 		return rt.Reporter.IssuesByKind()
 	}
 	withReuse := run(Options{Variant: Full, Naive: true})
-	without := run(Options{Variant: Full, Naive: true, NoCheckReuse: true})
+	without := run(Options{Variant: Full, Naive: true, NoOptimize: true})
 	if withReuse[core.TypeError] == 0 {
 		t.Fatal("type confusion undetected with reuse on")
 	}

@@ -41,27 +41,40 @@ func TestCFGDiamond(t *testing.T) {
 	if c.RPO[0] != 0 {
 		t.Fatalf("RPO starts at %d, want entry", c.RPO[0])
 	}
-	// Dominators: entry dominates everything; the branches dominate only
-	// themselves; the join's idom is the entry, not a branch.
-	for b := 0; b < 4; b++ {
-		if !c.Dominates(0, b) {
-			t.Errorf("entry should dominate block %d", b)
+	// Acyclic: every edge goes forward in reverse postorder, so the join
+	// comes after both arms.
+	checkRPOForward(t, c, nil)
+	if c.RPO[3] != 3 {
+		t.Errorf("RPO = %v, want the join last", c.RPO)
+	}
+}
+
+// checkRPOForward asserts that c.RPO lists every reachable block once
+// and that every edge except the listed back edges goes forward in it.
+func checkRPOForward(t *testing.T, c *CFG, back map[[2]int]bool) {
+	t.Helper()
+	pos := map[int]int{}
+	for i, b := range c.RPO {
+		if _, dup := pos[b]; dup {
+			t.Fatalf("RPO %v lists block %d twice", c.RPO, b)
 		}
+		pos[b] = i
 	}
-	if c.Idom(3) != 0 {
-		t.Errorf("idom(join) = %d, want 0", c.Idom(3))
-	}
-	if c.Idom(1) != 0 || c.Idom(2) != 0 {
-		t.Errorf("idom(branches) = %d,%d, want 0,0", c.Idom(1), c.Idom(2))
-	}
-	if c.Dominates(1, 3) || c.Dominates(2, 3) {
-		t.Error("a branch arm must not dominate the join")
-	}
-	if c.Dominates(3, 1) {
-		t.Error("join must not dominate an arm")
-	}
-	if c.Idom(0) != -1 {
-		t.Errorf("idom(entry) = %d, want -1", c.Idom(0))
+	for from, ss := range c.Succs {
+		if _, ok := pos[from]; !ok {
+			continue
+		}
+		for _, to := range ss {
+			if back[[2]int{from, to}] {
+				if pos[to] > pos[from] {
+					t.Errorf("back edge %d->%d goes forward in RPO %v", from, to, c.RPO)
+				}
+				continue
+			}
+			if pos[to] <= pos[from] {
+				t.Errorf("edge %d->%d goes backward in RPO %v", from, to, c.RPO)
+			}
+		}
 	}
 }
 
@@ -90,15 +103,13 @@ func TestCFGLoop(t *testing.T) {
 	f := buildLoop(t)
 	c := NewCFG(f)
 
-	if c.Idom(1) != 0 || c.Idom(2) != 1 || c.Idom(3) != 1 {
-		t.Fatalf("idoms = %d,%d,%d, want 0,1,1", c.Idom(1), c.Idom(2), c.Idom(3))
+	if got := c.Preds[1]; len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("head preds = %v, want [0 2]", got)
 	}
-	if !c.Dominates(1, 2) || !c.Dominates(1, 3) {
-		t.Error("loop head must dominate body and exit")
+	if len(c.RPO) != 4 {
+		t.Fatalf("RPO = %v, want all four blocks", c.RPO)
 	}
-	if c.Dominates(2, 1) {
-		t.Error("body must not dominate head (entry edge bypasses it)")
-	}
+	checkRPOForward(t, c, map[[2]int]bool{{2, 1}: true})
 }
 
 func TestCFGUnreachableBlock(t *testing.T) {
@@ -116,16 +127,13 @@ func TestCFGUnreachableBlock(t *testing.T) {
 	if len(c.RPO) != 1 {
 		t.Fatalf("RPO = %v, want entry only", c.RPO)
 	}
-	if c.Idom(dead) != -1 {
-		t.Errorf("unreachable block has idom %d", c.Idom(dead))
-	}
-	if c.Dominates(0, dead) || c.Dominates(dead, 0) {
-		t.Error("unreachable blocks neither dominate nor are dominated")
+	if len(c.Preds[dead]) != 0 {
+		t.Errorf("unreachable block has preds %v", c.Preds[dead])
 	}
 }
 
-// TestCFGNestedLoops stresses the iterative dominance computation on a
-// nested loop with an early exit from the inner loop.
+// TestCFGNestedLoops checks the reverse postorder on a nested loop with
+// an early exit from the inner loop.
 func TestCFGNestedLoops(t *testing.T) {
 	tb := ctypes.NewTable()
 	p := NewProgram(tb)
@@ -151,14 +159,10 @@ func TestCFGNestedLoops(t *testing.T) {
 	}
 	c := NewCFG(b.F)
 
-	if c.Idom(outer) != 0 || c.Idom(inner) != outer || c.Idom(innerBody) != inner ||
-		c.Idom(outerLatch) != inner {
-		t.Fatalf("unexpected idoms: outer=%d inner=%d body=%d latch=%d",
-			c.Idom(outer), c.Idom(inner), c.Idom(innerBody), c.Idom(outerLatch))
+	if len(c.RPO) != 6 {
+		t.Fatalf("RPO = %v, want all six blocks", c.RPO)
 	}
-	// exit is reached from innerBody and outerLatch, whose common
-	// dominator is inner.
-	if c.Idom(exit) != inner {
-		t.Fatalf("idom(exit) = %d, want inner (%d)", c.Idom(exit), inner)
-	}
+	// exit is reached from innerBody and outerLatch, so it comes after
+	// both; only the two latches jump backward.
+	checkRPOForward(t, c, map[[2]int]bool{{innerBody, inner}: true, {outerLatch, outer}: true})
 }

@@ -326,8 +326,6 @@ func (in *Interp) exec(rs *runState, f *Func, args []uint64) uint64 {
 				in.effRT(ins).BoundsCheck(regs[ins.A], size, bregs[ins.A], static, ins.Site)
 			case OpEscapeCheck:
 				in.effRT(ins).EscapeCheck(regs[ins.A], bregs[ins.A], ins.Site)
-			case OpBoundsMov:
-				bregs[ins.A] = bregs[ins.B]
 
 			default:
 				panic(simError{fmt.Sprintf("%s: unknown op %d", ins.Site, ins.Op)})

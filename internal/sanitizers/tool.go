@@ -38,11 +38,6 @@ type Tool struct {
 	// NoOptimize disables the instrumentation check-elision optimisations
 	// (the Fig. 8 "no-opt" configuration).
 	NoOptimize bool
-	// NoCheckMotion disables the §5.3 check-motion suite — loop-invariant
-	// check hoisting, partial-redundancy insertion and value-numbered
-	// provenance in the elision lattice — leaving check removal on (the
-	// "no-motion" Fig. 8 ablation) — instrument.Options.NoCheckMotion.
-	NoCheckMotion bool
 	// NoIntrinsics leaves libc intrinsic calls unchecked — the
 	// interpreter still runs the operations, but without the
 	// bounds/overlap/NUL-scan introspection (the library-boundary
@@ -104,15 +99,6 @@ func (t *Tool) WithoutInlineCache() *Tool {
 func (t *Tool) WithoutOptimizations() *Tool {
 	cp := *t
 	cp.NoOptimize = true
-	return &cp
-}
-
-// WithoutCheckMotion returns a copy of the tool with the check-motion
-// suite (hoisting, PRE, value-numbered provenance) disabled — the
-// ablation that prices what moving checks buys over removing them.
-func (t *Tool) WithoutCheckMotion() *Tool {
-	cp := *t
-	cp.NoCheckMotion = true
 	return &cp
 }
 
@@ -179,7 +165,6 @@ func (t *Tool) Threaded(n int) *Tool {
 func (t *Tool) InstrumentOptions(entry string) instrument.Options {
 	return instrument.Options{
 		Variant: t.Variant, NoOptimize: t.NoOptimize,
-		NoCheckMotion:   t.NoCheckMotion,
 		NoIntrinsics:    t.NoIntrinsics,
 		NoStaticElision: t.NoStaticElision,
 		StaticEntry:     entry,

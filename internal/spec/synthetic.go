@@ -19,12 +19,13 @@ import "repro/internal/progen"
 //     offsets that miss the exact-match fast path and land on the
 //     per-site inline caches;
 //   - progen-loop: loop headers re-evaluating invariant fields every
-//     iteration — the shape the §5.3 hoisting pass moves to the
-//     preheader (the "no-motion" Fig. 8 bar keeps them in place);
+//     iteration — checks the elision pass cannot remove, since they
+//     are re-established on every trip round the back edge, so the
+//     row prices per-iteration check cost;
 //   - progen-temp: one pointer value recomputed into fresh temporaries
 //     before a branch, on its arms and at the join — register-keyed
-//     elision re-checks each temporary, value-numbered provenance
-//     collapses them (again separated by the "no-motion" bar);
+//     elision re-checks each temporary, so the row prices re-checks
+//     of one value held in several registers;
 //   - progen-staticsafe: constant-extent globals and locals walked by
 //     provably-bounded loops and monomorphic downcasts — every check
 //     is in-bounds by static reasoning alone and covered by no
