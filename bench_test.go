@@ -63,7 +63,7 @@ func BenchmarkFig8Timings(b *testing.B) {
 	}
 	// The paper's Fig. 8 bars plus the §5.3/§6.2 ablations (no
 	// instrumentation optimisations, no caching at all, no per-site
-	// inline caches, no static elision) — the same
+	// inline caches) — the same
 	// bars harness.Fig8 renders, from the same source.
 	for _, cfg := range harness.Fig8Tools() {
 		b.Run(cfg.Name, func(b *testing.B) {

@@ -11,7 +11,10 @@
 // With -variant (default full) the program is instrumented per the
 // Fig. 3 schema and run on the EffectiveSan runtime. With -tool, one of
 // the modelled baseline sanitizers (AddressSanitizer, SoftBound, CETS,
-// TypeSan, ...) intercepts the uninstrumented program instead.
+// TypeSan, ...) intercepts the uninstrumented program instead. With
+// -warn-static the program is not run: the interprocedural static
+// safety analysis, which no other mode runs, lists the check sites it
+// proves always fail.
 package main
 
 import (
@@ -97,22 +100,23 @@ func main() {
 	report(res.Reporter, res.Stats, res.Value, *stats)
 }
 
-// runWarnStatic is the -warn-static compile-only mode: instrument
-// (running the interprocedural static safety pass) and print one
-// diagnostic per STATIC-UNSAFE check site — a check proven to report an
-// error on every execution that reaches it. The verdicts come from the
-// same pass the full pipeline runs, so what is printed is exactly what
-// a real run keeps and reports at runtime. Returns the process exit
-// code: 1 when any site is flagged, 0 on a clean program.
+// runWarnStatic is the -warn-static compile-only mode: run the
+// interprocedural static safety analysis over the fully instrumented
+// program (instrument.StaticDiagnostics) and print one diagnostic per
+// STATIC-UNSAFE check site — a check proven to report an error on every
+// execution that reaches it. The analysis only reports: a real run
+// keeps every flagged check, and a type check's [site N] is its runtime
+// check-site ID. Returns the process exit code: 1 when any site is
+// flagged, 0 on a clean program.
 func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
-	_, st := instrument.Instrument(prog, instrument.Options{
+	diags := instrument.StaticDiagnostics(prog, instrument.Options{
 		Variant: instrument.Full, StaticEntry: entry,
 	})
-	if len(st.StaticDiags) == 0 {
+	if len(diags) == 0 {
 		fmt.Fprintln(w, "no STATIC-UNSAFE check sites")
 		return 0
 	}
-	for _, d := range st.StaticDiags {
+	for _, d := range diags {
 		loc := d.Site
 		if loc == "" {
 			loc = "?"
@@ -127,7 +131,7 @@ func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
 }
 
 func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool) {
-	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions(entry))
+	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions())
 	opts := cfg.RuntimeOptions(prog.Types)
 	opts.AbortAfter = abortAfter
 	rt := core.NewRuntime(opts)

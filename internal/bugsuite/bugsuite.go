@@ -463,8 +463,8 @@ int main() {
 			Desc: "constant out-of-bounds index into a fixed-extent global: the " +
 				"interprocedural static safety analysis proves the access can " +
 				"never be in bounds and flags the site STATIC-UNSAFE at compile " +
-				"time (effsan -warn-static); the check itself is kept, so the " +
-				"runtime report is byte-identical with the analysis on or off",
+				"time (effsan -warn-static); the analysis only reports, so the " +
+				"check stays in the program and fires at run time",
 			Src: `
 long gtab[8];
 

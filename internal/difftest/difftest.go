@@ -77,12 +77,6 @@ func Matrix() []Config {
 		{Name: "no-opt", Tool: full.WithoutOptimizations()},
 		{Name: "uncached", Tool: full.Uncached()},
 		{Name: "no-inline", Tool: full.WithoutInlineCache()},
-		// The static-elision ablation: the interprocedural safety
-		// analysis deletes provably-redundant checks at compile time, so
-		// running with it off must detect exactly the same buckets —
-		// anything a deleted check would have reported is a
-		// disagreement, i.e. an unsound verdict.
-		{Name: "no-static", Tool: full.WithoutStaticElision()},
 		// The bounded-layout-cache cell: a 64-identity cap forces
 		// eviction and on-demand rebuild of layout tables on any program
 		// with more live types than slots. Tables are pure functions of
@@ -198,9 +192,9 @@ func Check(prog *mir.Program) (*Mismatch, error) {
 //
 // An optional tenth byte extends the option space (older 9-byte corpus
 // entries stay valid): bit 0 toggles the StaticSafe workload, the
-// provably-bounded walks the static safety analysis deletes checks
-// from, so the no-static cell gets inputs where the two sides actually
-// differ in instruction count.
+// provably-bounded walks over constant-extent globals and locals, so
+// the remaining cells also see checks no dynamic elision covers (and
+// committed corpus entries keep decoding).
 //
 // An optional eleventh byte scales the TypeExplosion population in
 // steps of 24 shapes (bits 0-2, so up to 168): the layoutcap-64 cell

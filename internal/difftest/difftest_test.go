@@ -262,12 +262,10 @@ func FuzzDifferentialConfigs(f *testing.F) {
 	// the checks those facts cover sit next to slots freed and reused
 	// inside the loop.
 	f.Add(EncodeInput(6, progen.Options{LibCalls: true, LibFaults: true, LoopHeavy: true, TempHeavy: true, AllocHeavy: true, Rounds: 3}))
-	// Static-elision stressors: the StaticSafe workload is where the
-	// no-static cell actually differs in instruction count (the analysis
-	// proves its walks safe and deletes their checks), so these seeds
-	// pin value and report parity across the deletion. The second one
-	// mixes in faulting libc traffic and temporal churn so deleted
-	// checks sit next to ones that must still fire.
+	// StaticSafe stressors: provably-bounded walks whose checks no
+	// dynamic elision covers, run across the remaining cells. The
+	// second one mixes in faulting libc traffic and temporal churn so
+	// those always-passing checks sit next to ones that must fire.
 	f.Add(EncodeInput(7, progen.Options{LibCalls: true, StaticSafe: true, Rounds: 2}))
 	f.Add(EncodeInput(8, progen.Options{LibCalls: true, LibFaults: true, TempHeavy: true, StaticSafe: true, Rounds: 3}))
 	// Layout-cache stressor: a 96-shape type explosion overflows the

@@ -169,14 +169,12 @@ type fig8Config struct {
 	short string
 }
 
-// fig8Configs returns the eight bars of Fig. 8, run in counting mode
+// fig8Configs returns the seven bars of Fig. 8, run in counting mode
 // like the paper's performance measurements: the paper's four
 // (uninstrumented and the three instrumentation variants) plus the §5.3
 // and §6.2 ablations the bench_test series already measures — no
-// instrumentation optimisations, no check caching at all, no per-site
-// inline caches, and no static elision (the interprocedural abstract
-// interpretation that deletes provably-in-bounds checks before the
-// dynamic pass runs, most visible on the progen-staticsafe row).
+// instrumentation optimisations, no check caching at all, and no
+// per-site inline caches.
 func fig8Configs() []fig8Config {
 	return []fig8Config{
 		{sanitizers.ToolUninstrumented, "uninstr"},
@@ -184,7 +182,6 @@ func fig8Configs() []fig8Config {
 		{sanitizers.ToolEffectiveSan.Counting().WithoutOptimizations().Named("EffectiveSan-noopt"), "no-opt"},
 		{sanitizers.ToolEffectiveSan.Counting().Uncached().Named("EffectiveSan-nocache"), "nocache"},
 		{sanitizers.ToolEffectiveSan.Counting().WithoutInlineCache().Named("EffectiveSan-noinline"), "no-inline"},
-		{sanitizers.ToolEffectiveSan.Counting().WithoutStaticElision().Named("EffectiveSan-nostatic"), "no-static"},
 		{sanitizers.ToolEffBounds.Counting(), "bounds"},
 		{sanitizers.ToolEffType.Counting(), "type"},
 	}
@@ -267,7 +264,7 @@ func Fig8(w io.Writer, repeat int) ([]Fig8Row, error) {
 		fmt.Fprintf(w, "geomean overhead %-24s %+.0f%%\n", cfg.tool.Name, oh*100)
 	}
 	fmt.Fprintln(w, "(paper: EffectiveSan +288%, -bounds +115%, -type +49%; the no-opt/nocache/")
-	fmt.Fprintln(w, " no-inline/no-static bars are the §5.3/§6.2 ablations,")
+	fmt.Fprintln(w, " no-inline bars are the §5.3/§6.2 ablations,")
 	fmt.Fprintln(w, " and the progen-* rows are the synthetic diamond/interior/loop/temp")
 	fmt.Fprintln(w, " workloads)")
 	return rows, nil

@@ -91,8 +91,8 @@ func TestFig8Ordering(t *testing.T) {
 	// rows and the five synthetic progen rows. The bar list comes from
 	// the canonical Fig8BarNames, never hand-copied.
 	wantBars := Fig8BarNames()
-	if len(wantBars) != 8 {
-		t.Fatalf("%d bars, want 8: %v", len(wantBars), wantBars)
+	if len(wantBars) != 7 {
+		t.Fatalf("%d bars, want 7: %v", len(wantBars), wantBars)
 	}
 	if len(rows) != 24 {
 		t.Fatalf("%d rows, want 24 (19 SPEC + 5 progen)", len(rows))

@@ -72,7 +72,7 @@ func buildDiamondJoin(tb *ctypes.Table) *mir.Program {
 // (available on every incoming path, though no dominating block holds
 // the fact), and the elided program runs cleanly.
 func TestPathSensitiveClosesDiamondJoinGap(t *testing.T) {
-	ip, st := Instrument(buildDiamondJoin(ctypes.NewTable()), Options{Variant: Full, NoStaticElision: true, Naive: true})
+	ip, st := Instrument(buildDiamondJoin(ctypes.NewTable()), Options{Variant: Full, Naive: true})
 	// The join's naive type check and its bounds check are exactly the
 	// path-sensitive wins.
 	if got, inserted := countChecks(ip), st.TypeChecks+st.BoundsChecks; got != inserted-2 {
@@ -227,7 +227,7 @@ func TestElisionCFGEdgeCases(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
+			opts := Options{Variant: Full, Naive: true}
 			ip, st := Instrument(tc.build(ctypes.NewTable()), opts)
 			tc.assert(t, st)
 			v, rep := runPass(t, ip)
@@ -283,7 +283,7 @@ func buildDiamondChain(tb *ctypes.Table, depth int) *mir.Program {
 // deep dominator tree and still elide every post-entry check.
 func TestElisionDeepCFG(t *testing.T) {
 	const depth = 2000
-	opts := Options{Variant: Full, NoStaticElision: true, Naive: true}
+	opts := Options{Variant: Full, Naive: true}
 	ip, st := Instrument(buildDiamondChain(ctypes.NewTable(), depth), opts)
 	// Entry's type+bounds check survive; all 3*depth re-derefs lose
 	// both their checks.
@@ -317,7 +317,7 @@ func benchmarkElide(b *testing.B, depth int, opts Options) {
 func BenchmarkElidePathSensitiveDeep(b *testing.B) {
 	for _, depth := range []int{50, 400} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchmarkElide(b, depth, Options{Variant: Full, NoStaticElision: true, Naive: true})
+			benchmarkElide(b, depth, Options{Variant: Full, Naive: true})
 		})
 	}
 }

@@ -19,17 +19,15 @@
 // type". Allocations get their (trivially correct) allocation bounds via
 // bounds_get rather than a type check.
 //
-// After insertion, the static safety pass (staticsafe.go, backed by the
-// interprocedural abstract interpretation in mir/absint.go) deletes
-// checks proven to never fail on ANY execution and flags checks proven
-// to always fail as compile-time diagnostics (Stats.StaticDiags, the
-// `effsan -warn-static` surface; the knob is Options.NoStaticElision).
-// Then the §5.3 elision pass (elide.go) removes dynamically redundant
-// checks with full CFG visibility: an available-check dataflow over
-// mir.CFG elides any check whose fact is available on every incoming
-// path, with free/realloc/call acting as barriers. Surviving type
-// checks then receive stable site IDs for the runtime's per-site
-// inline caches.
+// After insertion, the §5.3 elision pass (elide.go) removes dynamically
+// redundant checks with full CFG visibility: an available-check dataflow
+// over mir.CFG elides any check whose fact is available on every
+// incoming path, with free/realloc/call acting as barriers. Surviving
+// type checks then receive stable site IDs for the runtime's per-site
+// inline caches. No check is removed by static proof alone: the
+// interprocedural abstract interpretation in mir/absint.go backs only
+// the compile-time diagnostics of StaticDiagnostics (staticsafe.go, the
+// `effsan -warn-static` surface) and is off the Instrument path.
 package instrument
 
 import (
@@ -88,15 +86,10 @@ type Options struct {
 	// library-boundary ablation. Detection through intrinsic calls then
 	// degrades to whatever the surrounding raw-access checks see.
 	NoIntrinsics bool
-	// NoStaticElision disables the interprocedural static safety pass
-	// (staticsafe.go): no check is deleted by abstract interpretation
-	// alone and no STATIC-UNSAFE diagnostics are produced — the
-	// "no-static" Fig. 8 ablation. The pass is also implicitly off under
-	// NoOptimize and outside the Full/BoundsOnly variants.
-	NoStaticElision bool
 	// StaticEntry names the program's entry function for the static
-	// safety analysis' call graph. Empty analyses every function under
-	// unknown arguments (sound, but blind to parameter provenance).
+	// safety analysis' call graph (StaticDiagnostics; Instrument ignores
+	// it). Empty analyses every function under unknown arguments
+	// (sound, but blind to parameter provenance).
 	StaticEntry string
 }
 
@@ -131,47 +124,39 @@ type Stats struct {
 	// from the same counter as CheckSites so every site keeps its own
 	// inline-cache slot). Zero under NoIntrinsics.
 	IntrinsicSites int
-	// The static safety pass counters (staticsafe.go; all zero under
-	// NoStaticElision/NoOptimize). They partition from every counter
-	// above: a STATIC-SAFE check is deleted BEFORE the dynamic elision
-	// pass runs, so it can never also be charged to
-	// ElidedRechecks/ElidedPathSensitive, and the residual
-	// bounds-register producers swept in its wake are counted
-	// separately so ElidedStaticSafe stays "checks deleted".
-	ElidedStaticSafe     int // checks proven unable to fail, deleted
-	ElidedStaticResidual int // orphaned bounds_get/narrow swept after deletion
-	StaticUnsafeSites    int // checks proven to fail whenever reached (kept)
-	// StaticDiags carries one compile-time diagnostic per STATIC-UNSAFE
-	// site, in deterministic (function, block, instruction) order.
-	StaticDiags []StaticDiag
+	// Always zero: no check is deleted by static proof (the static
+	// safety analysis only feeds StaticDiagnostics). perfbench still
+	// reads these fields.
+	ElidedStaticSafe     int
+	ElidedStaticResidual int
 }
 
 // Instrument returns an instrumented deep copy of p; the input program is
 // not modified. The returned program must run with an EffectiveSan
 // runtime (mir.EffEnv) unless Variant is None.
 func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
-	out := p.Clone()
 	var st Stats
 	if opts.Variant == None {
-		return out, st
+		return p.Clone(), st
 	}
-	for _, f := range out.Funcs {
-		instrumentFunc(out, f, opts, &st)
-	}
-	// The static safety pass sits between insertion and the dynamic
-	// elision pass: it deletes checks by interprocedural proof alone, so
-	// the elision pass below sees fewer sites.
-	if staticElisionEnabled(opts) {
-		staticElide(out, opts, &st)
-	}
+	out := insertChecks(p, opts, &st)
 	if !opts.NoOptimize {
 		for _, f := range out.Funcs {
 			elideChecks(f, &st)
 		}
 	}
 	assignSiteIDs(out, opts, &st)
-	fillStaticDiagSiteIDs(out, &st)
 	return out, st
+}
+
+// insertChecks returns a deep copy of p with every Fig. 3 check
+// inserted and none elided yet.
+func insertChecks(p *mir.Program, opts Options, st *Stats) *mir.Program {
+	out := p.Clone()
+	for _, f := range out.Funcs {
+		instrumentFunc(out, f, opts, st)
+	}
+	return out
 }
 
 // instrumentFunc rewrites one function in place.

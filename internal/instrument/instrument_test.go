@@ -293,7 +293,7 @@ func TestSubsumedBoundsCheckElision(t *testing.T) {
 	si := b.Cast(ctypes.Int, ctypes.Long, s)
 	b.Ret(si)
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true})
+	_, st := Instrument(p, Options{Variant: Full})
 	if st.ElidedSubsume != 1 {
 		t.Fatalf("subsumed checks elided = %d, want 1", st.ElidedSubsume)
 	}
@@ -362,8 +362,7 @@ func TestUninstrumentedPassesThrough(t *testing.T) {
 	p := buildFig4(tb)
 	ip, st := Instrument(p, Options{Variant: None})
 	if st.TypeChecks != 0 || st.BoundsGets != 0 || st.Narrows != 0 ||
-		st.BoundsChecks != 0 || st.EscapeChecks != 0 || st.CheckSites != 0 ||
-		st.ElidedStaticSafe != 0 || len(st.StaticDiags) != 0 {
+		st.BoundsChecks != 0 || st.EscapeChecks != 0 || st.CheckSites != 0 {
 		t.Fatalf("None variant inserted checks: %+v", st)
 	}
 	if ip.Funcs["sum"].NumInstrs() != p.Funcs["sum"].NumInstrs() {
@@ -412,7 +411,7 @@ func TestRedundantNarrowElision(t *testing.T) {
 	v := b.Load(ctypes.Long, f)
 	b.Ret(v)
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true})
+	_, st := Instrument(p, Options{Variant: Full})
 	if st.ElidedNarrows == 0 {
 		t.Fatal("duplicate narrow not elided")
 	}
@@ -457,7 +456,7 @@ func TestRedundantTypeCheckReuse(t *testing.T) {
 	s := b.Bin(mir.BinAdd, ctypes.Long, v1, v2)
 	b.Ret(b.Cast(ctypes.Int, ctypes.Long, s))
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true, Naive: true})
+	_, st := Instrument(p, Options{Variant: Full, Naive: true})
 	if st.ElidedRechecks != 1 {
 		t.Fatalf("rechecks elided = %d, want 1", st.ElidedRechecks)
 	}
@@ -480,7 +479,7 @@ func TestTypeCheckReuseThroughMov(t *testing.T) {
 	v2 := b.Load(ctypes.Long, cp)
 	b.Ret(b.Bin(mir.BinAdd, ctypes.Long, v1, v2))
 
-	_, st := Instrument(p, Options{Variant: Full, NoStaticElision: true, Naive: true})
+	_, st := Instrument(p, Options{Variant: Full, Naive: true})
 	if st.ElidedRechecks != 1 {
 		t.Fatalf("rechecks elided through mov = %d, want 1", st.ElidedRechecks)
 	}
@@ -555,7 +554,7 @@ func buildBranchy(tb *ctypes.Table) *mir.Program {
 // subsumed bounds checks are exactly the cross-block wins, all charged
 // to ElidedPathSensitive.
 func TestCrossBlockElisionBeatsPerBlock(t *testing.T) {
-	ip, st := Instrument(buildBranchy(ctypes.NewTable()), Options{Variant: Full, NoStaticElision: true, Naive: true})
+	ip, st := Instrument(buildBranchy(ctypes.NewTable()), Options{Variant: Full, Naive: true})
 	if got, inserted := countChecks(ip), st.TypeChecks+st.BoundsChecks; got != inserted-6 {
 		t.Fatalf("dataflow pass left %d of %d inserted checks, want 6 elided", got, inserted)
 	}

@@ -59,8 +59,8 @@ func staticGoldenCorpus() []goldenProgram {
 
 // staticSafetyDump renders, for one program, the verdict list
 // mir.AnalyzeSafety returns on the freshly inserted checks (the exact
-// input of the static elision pass) and the static counters of a full
-// Instrument run, both rooted at entry and unrooted.
+// input of StaticDiagnostics) and the number of diagnostics
+// StaticDiagnostics reports, both rooted at entry and unrooted.
 func staticSafetyDump(t *testing.T, gp goldenProgram) string {
 	t.Helper()
 	prog, err := cc.Compile(gp.src, ctypes.NewTable())
@@ -74,15 +74,9 @@ func staticSafetyDump(t *testing.T, gp goldenProgram) string {
 		if roots != nil {
 			opts.StaticEntry = gp.entry
 		}
-		ins := prog.Clone()
 		var st Stats
-		for _, f := range ins.Funcs {
-			instrumentFunc(ins, f, opts, &st)
-		}
-		res := mir.AnalyzeSafety(ins, roots)
-		_, full := Instrument(prog, opts)
-		fmt.Fprintf(&b, "roots=%v elided_static=%d residual=%d unsafe=%d\n",
-			roots, full.ElidedStaticSafe, full.ElidedStaticResidual, full.StaticUnsafeSites)
+		res := mir.AnalyzeSafety(insertChecks(prog, opts, &st), roots)
+		fmt.Fprintf(&b, "roots=%v unsafe=%d\n", roots, len(StaticDiagnostics(prog, opts)))
 		names := make([]string, 0, len(res.Verdicts))
 		for name := range res.Verdicts {
 			names = append(names, name)
@@ -98,7 +92,7 @@ func staticSafetyDump(t *testing.T, gp goldenProgram) string {
 	return b.String()
 }
 
-// TestStaticSafetyGolden pins every verdict, reason and static counter
+// TestStaticSafetyGolden pins every verdict, reason and diagnostic count
 // of the static safety analysis over a fixed corpus. Representation
 // changes inside mir.AnalyzeSafety must leave the file untouched;
 // regenerate it only for an intended change of the analysis:

@@ -77,9 +77,10 @@ type Options struct {
 	// at offset 0 and a char-coercion byte walk. Every check in these
 	// helpers is provably in-bounds by STATIC reasoning alone: no
 	// dominating dynamic check covers them (the arrays are globals and
-	// locals, each helper sees the pointer fresh), so the PR-2/4/6
-	// dynamic passes cannot remove them — only the static safety pass
-	// can. Backs the Fig. 8 no-static row.
+	// locals, each helper sees the pointer fresh), so the dynamic
+	// elision pass cannot remove them and they all execute. Feeds the
+	// static safety analysis' corpus (its golden verdicts) and the
+	// progen-staticsafe Fig. 8 row.
 	StaticSafe bool
 	// TypeExplosion emits this many extra struct types — the
 	// type-population stress for the layout-metadata layer. The shapes
@@ -695,9 +696,8 @@ long xtouch_double(double *p) { p[0] = p[0] + 1.0; return (long)p[0]; }
 		g.pf("long xheat_%d() {\n", c)
 		g.pf("    long acc = 0;\n")
 		// The element index is loaded from the heap: loaded values are
-		// Top to the static safety analysis (mir/absint), so the
-		// accesses below survive to runtime — a constant [1] would be
-		// proven in-bounds and deleted. The runtime value is still
+		// Top to the static safety analysis (mir/absint), so it proves
+		// nothing about the accesses below. The runtime value is still
 		// deterministically 1, so the program stays clean by
 		// construction.
 		g.pf("    long *xi = malloc(1 * sizeof(long));\n")

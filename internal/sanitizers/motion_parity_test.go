@@ -28,7 +28,7 @@ func TestMotionDetectionParityFig7(t *testing.T) {
 		}
 		var static [2]int
 		for i, tool := range tools {
-			ip, st := instrument.Instrument(prog, tool.InstrumentOptions(b.Entry))
+			ip, st := instrument.Instrument(prog, tool.InstrumentOptions())
 			if st.HoistedChecks != 0 || st.PREInsertions != 0 || st.ValueNumberedElisions != 0 {
 				t.Errorf("%s under %s: checks moved: %+v", b.Name, tool.Name, st)
 			}

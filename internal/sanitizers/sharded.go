@@ -113,7 +113,7 @@ func (t *Tool) ExecSharded(prog *mir.Program, entry string, jobs, threads int, o
 		plain = mir.NewPlainEnv(nil)
 		res.Reporter = core.NewReporter(core.ModeLog, 0)
 	} else {
-		runee, res.InstrStats = instrument.Instrument(prog, t.InstrumentOptions(entry))
+		runee, res.InstrStats = instrument.Instrument(prog, t.InstrumentOptions())
 		rt = core.NewRuntime(t.RuntimeOptions(prog.Types))
 		res.Reporter = rt.Reporter
 	}

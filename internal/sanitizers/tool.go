@@ -43,11 +43,6 @@ type Tool struct {
 	// bounds/overlap/NUL-scan introspection (the library-boundary
 	// ablation) — instrument.Options.NoIntrinsics.
 	NoIntrinsics bool
-	// NoStaticElision disables the interprocedural static safety
-	// analysis, so no check is deleted by compile-time proof alone (the
-	// "no-static" Fig. 8 ablation) —
-	// instrument.Options.NoStaticElision.
-	NoStaticElision bool
 	// LayoutCacheCap bounds the number of resident layout tables (clock
 	// eviction, rebuild on demand; 0 = unbounded) —
 	// core.Options.LayoutCacheCap. Any cap is detection-identical; small
@@ -122,17 +117,6 @@ func (t *Tool) WithoutIntrinsics() *Tool {
 	return &cp
 }
 
-// WithoutStaticElision returns a copy of the tool with the
-// interprocedural static safety pass disabled: every check a
-// compile-time proof would have deleted stays in the program (the
-// "no-static" Fig. 8 ablation, and the difftest matrix's witness that
-// the pass never changes detection).
-func (t *Tool) WithoutStaticElision() *Tool {
-	cp := *t
-	cp.NoStaticElision = true
-	return &cp
-}
-
 // WithLayoutCacheCap returns a copy of the tool with a bound on resident
 // layout tables (0 = unbounded). Evicted tables rebuild on demand —
 // tables are pure functions of the type — so detection is identical at
@@ -160,15 +144,9 @@ func (t *Tool) Threaded(n int) *Tool {
 }
 
 // InstrumentOptions returns the instrumentation options of an
-// EffectiveSan variant of the tool, with entry as the static safety
-// analysis' call-graph root.
-func (t *Tool) InstrumentOptions(entry string) instrument.Options {
-	return instrument.Options{
-		Variant: t.Variant, NoOptimize: t.NoOptimize,
-		NoIntrinsics:    t.NoIntrinsics,
-		NoStaticElision: t.NoStaticElision,
-		StaticEntry:     entry,
-	}
+// EffectiveSan variant of the tool.
+func (t *Tool) InstrumentOptions() instrument.Options {
+	return instrument.Options{Variant: t.Variant, NoOptimize: t.NoOptimize, NoIntrinsics: t.NoIntrinsics}
 }
 
 // RuntimeOptions returns the options of the EffectiveSan runtime the
@@ -253,7 +231,7 @@ func (t *Tool) Exec(prog *mir.Program, entry string, out io.Writer, args ...uint
 		res.HeapPeak = env.Heap().Stats().Peak
 		res.MemPages = env.Mem().TouchedBytes()
 	default:
-		ip, ist := instrument.Instrument(prog, t.InstrumentOptions(entry))
+		ip, ist := instrument.Instrument(prog, t.InstrumentOptions())
 		res.InstrStats = ist
 		rt := core.NewRuntime(t.RuntimeOptions(prog.Types))
 		res.Reporter = rt.Reporter

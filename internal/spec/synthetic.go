@@ -29,9 +29,9 @@ import "repro/internal/progen"
 //   - progen-staticsafe: constant-extent globals and locals walked by
 //     provably-bounded loops and monomorphic downcasts — every check
 //     is in-bounds by static reasoning alone and covered by no
-//     dominating dynamic check, so only the interprocedural abstract
-//     interpretation removes them (the "no-static" Fig. 8 bar keeps
-//     them, pricing the static safety pass).
+//     dominating dynamic check, so every bar executes them; the row
+//     prices checks no elision removes and is part of the static
+//     safety analysis' golden corpus.
 func Synthetic() []*Benchmark {
 	return []*Benchmark{
 		{
