@@ -6,15 +6,15 @@
 // Usage:
 //
 //	effsan [-variant full|bounds|type|none] [-tool NAME] [-abort N] [-quarantine BYTES] [-stats] prog.c
-//	effsan -warn-static prog.c
 //
 // With -variant (default full) the program is instrumented per the
 // Fig. 3 schema and run on the EffectiveSan runtime. With -tool, one of
 // the modelled baseline sanitizers (AddressSanitizer, SoftBound, CETS,
-// TypeSan, ...) intercepts the uninstrumented program instead. With
-// -warn-static the program is not run: the interprocedural static
-// safety analysis, which no other mode runs, lists the check sites it
-// proves always fail.
+// TypeSan, ...) intercepts the uninstrumented program instead.
+//
+// Exit status: 0 after a completed run (detected errors are reported,
+// not fatal), 1 on a compile or run error, 2 on a usage error or an
+// internal failure of the tool itself.
 package main
 
 import (
@@ -32,33 +32,53 @@ import (
 )
 
 func main() {
-	variant := flag.String("variant", "full",
-		"EffectiveSan variant: full, bounds, type, or none (uninstrumented)")
-	tool := flag.String("tool", "", "run under a modelled baseline sanitizer instead")
-	abortAfter := flag.Uint64("abort", 0, "abort after N errors (0 = log all, the default)")
-	quarantine := flag.Uint64("quarantine", 0, "heap quarantine bytes (delays reuse)")
-	stats := flag.Bool("stats", false, "print runtime check statistics")
-	entry := flag.String("entry", "main", "entry function")
-	warnStatic := flag.Bool("warn-static", false,
-		"compile only: print the static safety analysis' STATIC-UNSAFE diagnostics (checks proven to report on every execution that reaches them) and exit without running")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: effsan [flags] prog.c")
-		flag.Usage()
-		os.Exit(2)
+// run is the whole command: it parses args, compiles and runs the
+// program, writes the program's output and the report to stdout and
+// diagnostics to stderr, and returns the exit status. A panic escaping
+// compile or run is turned into an "effsan:" diagnostic and status 2,
+// so no input makes the tool print a Go stack trace.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("effsan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	variant := fs.String("variant", "full",
+		"EffectiveSan variant: full, bounds, type, or none (uninstrumented)")
+	tool := fs.String("tool", "", "run under a modelled baseline sanitizer instead")
+	abortAfter := fs.Uint64("abort", 0, "abort after N errors (0 = log all, the default)")
+	quarantine := fs.Uint64("quarantine", 0, "heap quarantine bytes (delays reuse)")
+	stats := fs.Bool("stats", false, "print runtime check statistics")
+	entry := fs.String("entry", "main", "entry function")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: effsan [flags] prog.c")
+		fs.PrintDefaults()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "effsan: %v\n", err)
+		return 1
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(stderr, "effsan: internal error: %v\n", r)
+			code = 2
+		}
+	}()
+
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	prog, err := cc.Compile(string(src), ctypes.NewTable())
 	if err != nil {
-		fatal(err)
-	}
-
-	if *warnStatic {
-		os.Exit(runWarnStatic(prog, *entry, os.Stdout))
+		return fail(err)
 	}
 
 	var cfg *sanitizers.Tool
@@ -70,17 +90,16 @@ func main() {
 			}
 		}
 		if cfg == nil {
-			fatal(fmt.Errorf("unknown tool %q (see sanitizers.Baselines)", *tool))
+			return fail(fmt.Errorf("unknown tool %q (see sanitizers.Baselines)", *tool))
 		}
 	default:
 		v := map[string]instrument.Variant{
 			"full": instrument.Full, "bounds": instrument.BoundsOnly,
 			"type": instrument.TypeOnly, "none": instrument.None,
 		}
-		var ok bool
 		variantV, ok := v[*variant]
 		if !ok {
-			fatal(fmt.Errorf("unknown variant %q", *variant))
+			return fail(fmt.Errorf("unknown variant %q", *variant))
 		}
 		cfg = &sanitizers.Tool{Name: "EffectiveSan-" + *variant, Variant: variantV,
 			Quarantine: *quarantine}
@@ -89,91 +108,58 @@ func main() {
 	// Rebuild the EffectiveSan path by hand when abort-after is wanted,
 	// since Tool.Exec always logs without stopping.
 	if *abortAfter > 0 && *tool == "" {
-		runWithAbort(prog, cfg, *entry, *abortAfter, *stats)
-		return
+		return runWithAbort(prog, cfg, *entry, *abortAfter, *stats, stdout, stderr)
 	}
 
-	res, err := cfg.Exec(prog, *entry, os.Stdout)
+	res, err := cfg.Exec(prog, *entry, stdout)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	report(res.Reporter, res.Stats, res.Value, *stats)
+	report(stdout, res.Reporter, res.Stats, res.Value, *stats)
+	return 0
 }
 
-// runWarnStatic is the -warn-static compile-only mode: run the
-// interprocedural static safety analysis over the fully instrumented
-// program (instrument.StaticDiagnostics) and print one diagnostic per
-// STATIC-UNSAFE check site — a check proven to report an error on every
-// execution that reaches it. The analysis only reports: a real run
-// keeps every flagged check, and a type check's [site N] is its runtime
-// check-site ID. Returns the process exit code: 1 when any site is
-// flagged, 0 on a clean program.
-func runWarnStatic(prog *mir.Program, entry string, w io.Writer) int {
-	diags := instrument.StaticDiagnostics(prog, instrument.Options{
-		Variant: instrument.Full, StaticEntry: entry,
-	})
-	if len(diags) == 0 {
-		fmt.Fprintln(w, "no STATIC-UNSAFE check sites")
-		return 0
-	}
-	for _, d := range diags {
-		loc := d.Site
-		if loc == "" {
-			loc = "?"
-		}
-		fmt.Fprintf(w, "%s: warning: %s check always fails in %s: %s", loc, d.Kind, d.Func, d.Reason)
-		if d.SiteID != 0 {
-			fmt.Fprintf(w, " [site %d]", d.SiteID)
-		}
-		fmt.Fprintln(w)
-	}
-	return 1
-}
-
-func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool) {
+func runWithAbort(prog *mir.Program, cfg *sanitizers.Tool, entry string, abortAfter uint64, stats bool, stdout, stderr io.Writer) int {
 	ip, _ := instrument.Instrument(prog, cfg.InstrumentOptions())
 	opts := cfg.RuntimeOptions(prog.Types)
 	opts.AbortAfter = abortAfter
 	rt := core.NewRuntime(opts)
-	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: os.Stdout})
+	in, err := mir.New(ip, mir.Options{Env: mir.NewEffEnv(rt), Out: stdout})
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "effsan: %v\n", err)
+		return 1
 	}
 	val, err := in.Run(entry)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
+		fmt.Fprintf(stderr, "effsan: %v\n", err)
 	}
-	report(rt.Reporter, rt.Stats(), val, stats)
+	report(stdout, rt.Reporter, rt.Stats(), val, stats)
+	return 0
 }
 
-func report(rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
-	fmt.Printf("exit value: %d\n", int64(val))
+func report(w io.Writer, rep *core.Reporter, st core.StatsSnapshot, val uint64, stats bool) {
+	fmt.Fprintf(w, "exit value: %d\n", int64(val))
 	if n := rep.NumIssues(); n > 0 {
-		fmt.Printf("--- %d distinct issue(s), %d error event(s) ---\n", n, rep.Total())
-		fmt.Print(rep.Log())
+		fmt.Fprintf(w, "--- %d distinct issue(s), %d error event(s) ---\n", n, rep.Total())
+		fmt.Fprint(w, rep.Log())
 	} else if rep.Total() > 0 {
-		fmt.Printf("--- %d error event(s) (counting mode) ---\n", rep.Total())
+		fmt.Fprintf(w, "--- %d error event(s) (counting mode) ---\n", rep.Total())
 	} else {
-		fmt.Println("no type or memory errors detected")
+		fmt.Fprintln(w, "no type or memory errors detected")
 	}
 	if stats {
-		fmt.Printf("type checks:    %d (legacy %.2f%%, null %d)\n",
+		fmt.Fprintf(w, "type checks:    %d (legacy %.2f%%, null %d)\n",
 			st.TypeChecks, st.LegacyRatio()*100, st.NullTypeChecks)
-		fmt.Printf("bounds checks:  %d\n", st.BoundsChecks)
-		fmt.Printf("bounds narrows: %d\n", st.BoundsNarrows)
-		fmt.Printf("coercions:      char %d, void* %d\n", st.CharCoercions, st.VoidPtrCoercions)
-		fmt.Printf("check cache:    fast-path %d, inline %d/%d (hit-rate %.1f%%), shared %d/%d (hit-rate %.1f%%), layout matches %d\n",
+		fmt.Fprintf(w, "bounds checks:  %d\n", st.BoundsChecks)
+		fmt.Fprintf(w, "bounds narrows: %d\n", st.BoundsNarrows)
+		fmt.Fprintf(w, "coercions:      char %d, void* %d\n", st.CharCoercions, st.VoidPtrCoercions)
+		fmt.Fprintf(w, "check cache:    fast-path %d, inline %d/%d (hit-rate %.1f%%), shared %d/%d (hit-rate %.1f%%), layout matches %d\n",
 			st.CheckFastPath,
 			st.InlineCacheHits, st.InlineCacheHits+st.InlineCacheMisses,
 			st.InlineCacheHitRate()*100,
 			st.CheckCacheHits, st.CheckCacheHits+st.CheckCacheMisses,
 			st.CheckCacheHitRate()*100, st.LayoutMatches)
-		fmt.Printf("allocations:    heap %d, stack %d, global %d; frees %d\n",
+		fmt.Fprintf(w, "allocations:    heap %d, stack %d, global %d; frees %d\n",
 			st.HeapAllocs, st.StackAllocs, st.GlobalAllocs, st.Frees)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "effsan: %v\n", err)
-	os.Exit(1)
 }

@@ -460,11 +460,9 @@ int main() {
 		{
 			Name:  "static-oob",
 			Class: Extra,
-			Desc: "constant out-of-bounds index into a fixed-extent global: the " +
-				"interprocedural static safety analysis proves the access can " +
-				"never be in bounds and flags the site STATIC-UNSAFE at compile " +
-				"time (effsan -warn-static); the analysis only reports, so the " +
-				"check stays in the program and fires at run time",
+			Desc: "constant out-of-bounds index into a fixed-extent global: " +
+				"the access can never be in bounds, and the runtime bounds " +
+				"check reports it against the global that was accessed",
 			Src: `
 long gtab[8];
 

@@ -431,9 +431,10 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestIncompleteObjectTypes: declaring, allocating or taking sizeof of
-// an object whose type never gets a definition is a diagnostic, not a
-// panic in the frontend or in a later pass.
+// TestIncompleteObjectTypes: declaring, allocating, casting to or taking
+// sizeof of an object whose type never gets a definition is a
+// diagnostic, not a panic in the frontend, in a later pass or in the
+// interpreter.
 func TestIncompleteObjectTypes(t *testing.T) {
 	cases := []string{
 		`int main(){ struct A a; return 0; }`,
@@ -444,6 +445,15 @@ func TestIncompleteObjectTypes(t *testing.T) {
 		`int main(){ struct A a[2]; return 0; }`,
 		`struct A g[2][2]; int main(){ return 0; }`,
 		`struct S { int n; struct A tail[]; }; int main(){ return 0; }`,
+		// Found by mutating bugsuite sources: the member panicked in
+		// ctypes.Complete, the by-value cast in the interpreter.
+		`struct A0000{struct A A;};`,
+		`int main(){struct A*g=(struct A*)(struct A0)0; return 0;}`,
+		`int f(class A *p){ return 0; } class B : A { int x; };`,
+		`int f(struct A a){ return 0; } int main(){ return 0; }`,
+		`struct A f(){ } int main(){ return 0; }`,
+		`int main(){ struct A *p = 0; p += 1; return 0; }`,
+		`int main(){ struct A *p = 0; struct A *q = 1 + p; return 0; }`,
 	}
 	for _, src := range cases {
 		var err error

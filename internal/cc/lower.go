@@ -56,9 +56,7 @@ func CompileInto(src string, prog *mir.Program) (err error) {
 		if prog.GlobalIndex(g.name) >= 0 {
 			lo.fail(g.pos, "redefinition of global %q", g.name)
 		}
-		if !g.typ.IsComplete() {
-			lo.fail(g.pos, "global %q has incomplete type %s", g.name, g.typ)
-		}
+		requireComplete(g.pos, g.typ, "global", g.name)
 		gi := prog.AddGlobal(g.name, g.typ, uint64(g.count))
 		prog.Globals[gi].Array = g.isArr
 	}
@@ -123,8 +121,12 @@ func (lo *lowerer) lowerFunc(fn *funcDecl) {
 	lo.addrTaken = map[string]bool{}
 	collectAddrTaken(fn.body, lo.addrTaken)
 
+	if fn.ret != nil {
+		requireComplete(fn.pos, fn.ret, "return type of function", fn.name)
+	}
 	params := make([]mir.Param, len(fn.params))
 	for i, p := range fn.params {
+		requireComplete(fn.pos, p.typ, "parameter", p.name)
 		params[i] = mir.Param{Name: p.name, Type: p.typ}
 	}
 	lo.b = mir.NewFunc(lo.prog, fn.name, fn.ret, params...)
@@ -389,9 +391,7 @@ func (lo *lowerer) lowerDecl(s *declStmt) {
 			lo.fail(s.pos, "array initialisers are not supported")
 		}
 	case s.typ.IsRecord():
-		if !s.typ.IsComplete() {
-			lo.fail(s.pos, "variable %q has incomplete type %s", s.name, s.typ)
-		}
+		requireComplete(s.pos, s.typ, "variable", s.name)
 		addr := lo.b.Alloca(s.typ, 1)
 		lo.define(s.name, &symbol{typ: s.typ, reg: addr, isMem: true})
 		if s.init != nil {

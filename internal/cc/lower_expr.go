@@ -38,9 +38,7 @@ func (lo *lowerer) lowerExpr(e expr, hint *ctypes.Type) value {
 	case *fieldExpr:
 		return lo.loadLValue(lo.lowerLValue(e), e.tok)
 	case *sizeofExpr:
-		if !e.typ.IsComplete() {
-			lo.fail(e.tok, "sizeof applied to incomplete type %s", e.typ)
-		}
+		requireComplete(e.tok, e.typ, "sizeof applied to", "")
 		return value{ctypes.ULong, lo.b.Const(ctypes.ULong, e.typ.Size())}
 	case *unaryExpr:
 		return lo.lowerUnary(e, hint)
@@ -64,9 +62,7 @@ func (lo *lowerer) lowerExpr(e expr, hint *ctypes.Type) value {
 		}
 		return value{ptr.typ, lo.b.Realloc(ptr.reg, size.reg)}
 	case *newExpr:
-		if !e.typ.IsComplete() {
-			lo.fail(e.tok, "new of incomplete type %s", e.typ)
-		}
+		requireComplete(e.tok, e.typ, "new of", "")
 		if e.count == nil {
 			size := lo.b.Const(ctypes.ULong, e.typ.Size())
 			return value{lo.tb.PointerTo(e.typ), lo.b.Malloc(e.typ, size)}
@@ -164,9 +160,7 @@ func (lo *lowerer) lowerLValue(e expr) lvalue {
 		}
 		idx := lo.lowerExpr(e.idx, nil)
 		elem := base.typ.Elem
-		if !elem.IsComplete() {
-			lo.fail(e.tok, "indexing pointer to incomplete type %s", elem)
-		}
+		requireComplete(e.tok, elem, "indexing pointer to", "")
 		addr := lo.b.Index(elem, base.reg, idx.reg)
 		return lvalue{typ: elem, addr: addr, reg: -1}
 	case *fieldExpr:
@@ -197,9 +191,7 @@ func (lo *lowerer) lowerLValue(e expr) lvalue {
 // fieldAddr resolves a member access, searching base-class sub-objects
 // (single and multiple inheritance) recursively.
 func (lo *lowerer) fieldAddr(rec *ctypes.Type, baseAddr int, e *fieldExpr) (*ctypes.Type, int) {
-	if !rec.IsComplete() {
-		lo.fail(e.tok, "member access on incomplete type %s", rec)
-	}
+	requireComplete(e.tok, rec, "member access on", "")
 	if f, ok := rec.FieldByName(e.name); ok {
 		return f.Type, lo.b.FieldAt(f.Type, baseAddr, f.Offset)
 	}
@@ -274,9 +266,7 @@ func (lo *lowerer) lowerBinary(e *binaryExpr) value {
 		return value{ctypes.Int, lo.b.Cmp(cmpKind(e.op), ctypes.ULong, l.reg, r.reg)}
 	case lp && !rp && (e.op == "+" || e.op == "-"):
 		elem := l.typ.Elem
-		if !elem.IsComplete() {
-			lo.fail(e.tok, "arithmetic on pointer to incomplete type %s", elem)
-		}
+		requireComplete(e.tok, elem, "arithmetic on pointer to", "")
 		idx := r.reg
 		if e.op == "-" {
 			zero := lo.b.Const(ctypes.Long, 0)
@@ -285,11 +275,13 @@ func (lo *lowerer) lowerBinary(e *binaryExpr) value {
 		return value{l.typ, lo.b.Index(elem, l.reg, idx)}
 	case !lp && rp && e.op == "+":
 		elem := r.typ.Elem
+		requireComplete(e.tok, elem, "arithmetic on pointer to", "")
 		return value{r.typ, lo.b.Index(elem, r.reg, l.reg)}
 	case lp && rp && e.op == "-":
-		if l.typ.Elem != r.typ.Elem || !l.typ.Elem.IsComplete() {
+		if l.typ.Elem != r.typ.Elem {
 			lo.fail(e.tok, "subtraction of incompatible pointers")
 		}
+		requireComplete(e.tok, l.typ.Elem, "arithmetic on pointer to", "")
 		diff := lo.b.Bin(mir.BinSub, ctypes.Long, l.reg, r.reg)
 		es := lo.b.Const(ctypes.Long, l.typ.Elem.Size())
 		return value{ctypes.Long, lo.b.Bin(mir.BinDiv, ctypes.Long, diff, es)}
@@ -347,6 +339,7 @@ func (lo *lowerer) lowerAssign(e *assignExpr) value {
 			if e.op != "+=" && e.op != "-=" {
 				lo.fail(e.tok, "invalid pointer compound assignment %q", e.op)
 			}
+			requireComplete(e.tok, cur.typ.Elem, "arithmetic on pointer to", "")
 			idx := r.reg
 			if e.op == "-=" {
 				zero := lo.b.Const(ctypes.Long, 0)
@@ -425,6 +418,7 @@ func (lo *lowerer) lowerCond(e *condExpr, hint *ctypes.Type) value {
 }
 
 func (lo *lowerer) lowerCast(e *castExpr) value {
+	requireComplete(e.tok, e.typ, "cast to", "")
 	v := lo.lowerExpr(e.e, elemHint(e.typ))
 	d := lo.b.Cast(e.typ, v.typ, v.reg)
 	return value{e.typ, d}

@@ -26,6 +26,24 @@ func (p *parser) fail(tok token, format string, args ...any) {
 	panic(&ParseError{tok.line, tok.col, fmt.Sprintf(format, args...)})
 }
 
+// requireComplete is the frontend's one type-completeness check. Every
+// use of a type that needs its size goes through it: object definitions
+// (globals, locals, members, parameters), return values, casts, sizeof,
+// new, array elements and pointer arithmetic. An incomplete type is then
+// a ParseError at its use, never a ctypes panic later in compilation or
+// at run time. The message reads `what incomplete type T` ("sizeof
+// applied to incomplete type T") or, for a named entity, `what "name"
+// has incomplete type T`.
+func requireComplete(tok token, t *ctypes.Type, what, name string) {
+	if t.IsComplete() {
+		return
+	}
+	if name != "" {
+		what = fmt.Sprintf("%s %q has", what, name)
+	}
+	panic(&ParseError{tok.line, tok.col, fmt.Sprintf("%s incomplete type %s", what, t)})
+}
+
 func (p *parser) peek() token { return p.toks[p.pos] }
 func (p *parser) peek2() token { // one token of lookahead past peek
 	if p.pos+1 < len(p.toks) {
@@ -146,7 +164,12 @@ func (p *parser) parseRecordDef() *ctypes.Type {
 		p.expect(";")
 	}
 	for i, m := range members {
-		if m.Type.IsIncompleteArray() && (i != len(members)-1 || kind == ctypes.KindUnion) {
+		switch {
+		case m.IsBase:
+			requireComplete(nameTok, m.Type, "inheriting from", "")
+		case !m.Type.IsIncompleteArray():
+			requireComplete(nameTok, m.Type, "member", m.Name)
+		case i != len(members)-1 || kind == ctypes.KindUnion:
 			p.fail(nameTok, "flexible array member %q must be the last struct member", m.Name)
 		}
 	}
@@ -235,9 +258,7 @@ func (p *parser) parseDeclarator(base *ctypes.Type, allowFAM bool) (*ctypes.Type
 		typ = p.arrayOf(nameTok, typ, dims[i])
 	}
 	if fam {
-		if !typ.IsComplete() {
-			p.fail(nameTok, "array of incomplete type %s", typ)
-		}
+		requireComplete(nameTok, typ, "array of", "")
 		typ = p.tb.IncompleteArrayOf(typ)
 	}
 	return typ, nameTok.text
@@ -246,9 +267,7 @@ func (p *parser) parseDeclarator(base *ctypes.Type, allowFAM bool) (*ctypes.Type
 // arrayOf is Table.ArrayOf with a diagnostic instead of a panic for an
 // incomplete element type.
 func (p *parser) arrayOf(tok token, elem *ctypes.Type, n int64) *ctypes.Type {
-	if !elem.IsComplete() {
-		p.fail(tok, "array of incomplete type %s", elem)
-	}
+	requireComplete(tok, elem, "array of", "")
 	return p.tb.ArrayOf(elem, n)
 }
 

@@ -557,7 +557,7 @@ func (r *Runtime) BoundsCheck(p uint64, size uint64, b Bounds, static, site stri
 	if b.Contains(p, size) {
 		return true
 	}
-	r.reportBounds(p, static, site)
+	r.reportBounds(p, b, static, site)
 	return false
 }
 
@@ -570,14 +570,24 @@ func (r *Runtime) EscapeCheck(p uint64, b Bounds, site string) bool {
 	if b.ContainsEscape(p) {
 		return true
 	}
-	r.reportBounds(p, "escaping pointer", site)
+	r.reportBounds(p, b, "escaping pointer", site)
 	return false
 }
 
-func (r *Runtime) reportBounds(p uint64, static, site string) {
+// reportBounds reports an access at p outside b. The issue is bucketed
+// on the object b describes, the object that was accessed, as the
+// paper's reports name it; p may lie in a neighbouring slot whose owner
+// depends on allocation order (and, on a shared heap, on another
+// thread). Wide or empty bounds describe no object, so those fall back
+// to p.
+func (r *Runtime) reportBounds(p uint64, b Bounds, static, site string) {
+	obj := p
+	if !b.IsWide() && b.Lo < b.Hi {
+		obj = b.Lo
+	}
 	dyn := "legacy"
 	var off int64
-	if t, objBase, _, ok := r.DynamicType(p); ok {
+	if t, objBase, _, ok := r.DynamicType(obj); ok {
 		dyn = t.String()
 		off = int64(p) - int64(objBase)
 		if t != ctypes.Free && t.IsComplete() && t.Size() > 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ctypes"
+	"repro/internal/lowfat"
 )
 
 func newRT(t *testing.T) (*Runtime, *ctypes.Table) {
@@ -99,6 +100,35 @@ func TestSubObjectNarrowing(t *testing.T) {
 	}
 	if r.Reporter.Total() != 1 {
 		t.Fatal("bounds error not reported")
+	}
+}
+
+// TestBoundsErrorNamesAccessedObject: an overflow off the end of an
+// int[16] into the adjacent slot, which holds a double[8], is reported
+// against the int[16] that was accessed, not the neighbour's type.
+func TestBoundsErrorNamesAccessedObject(t *testing.T) {
+	r, _ := newRT(t)
+	p, _ := r.NewArray(ctypes.Int, 16, HeapAlloc)
+	q, _ := r.NewArray(ctypes.Double, 8, HeapAlloc)
+	b := r.TypeCheck(p, ctypes.Int, "")
+	if want := (Bounds{p, p + 64}); b != want {
+		t.Fatalf("int[16] bounds = %v, want %v", b, want)
+	}
+	// Slots are carved in allocation order, so the word just past the
+	// first slot's end is the second object's first element.
+	end := lowfat.Base(p) + lowfat.Size(p)
+	if end != lowfat.Base(q) {
+		t.Fatalf("second allocation at slot %#x, want the adjacent slot %#x", lowfat.Base(q), end)
+	}
+	if r.BoundsCheck(q, 8, b, "int", "overflow") {
+		t.Fatal("overflow into the neighbouring slot must fail the bounds check")
+	}
+	issues := r.Reporter.Issues()
+	if len(issues) != 1 || issues[0].Kind != BoundsError {
+		t.Fatalf("issues = %+v, want one bounds error", issues)
+	}
+	if got := issues[0].DynamicType; got != "int" {
+		t.Errorf("bounds error names %q, want the accessed object's type int", got)
 	}
 }
 

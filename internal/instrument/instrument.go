@@ -24,10 +24,9 @@
 // over mir.CFG elides any check whose fact is available on every
 // incoming path, with free/realloc/call acting as barriers. Surviving
 // type checks then receive stable site IDs for the runtime's per-site
-// inline caches. No check is removed by static proof alone: the
-// interprocedural abstract interpretation in mir/absint.go backs only
-// the compile-time diagnostics of StaticDiagnostics (staticsafe.go, the
-// `effsan -warn-static` surface) and is off the Instrument path.
+// inline caches. As in the paper, every elision rests on local
+// reasoning over the checks themselves; no check is removed by static
+// proof.
 package instrument
 
 import (
@@ -86,10 +85,8 @@ type Options struct {
 	// library-boundary ablation. Detection through intrinsic calls then
 	// degrades to whatever the surrounding raw-access checks see.
 	NoIntrinsics bool
-	// StaticEntry names the program's entry function for the static
-	// safety analysis' call graph (StaticDiagnostics; Instrument ignores
-	// it). Empty analyses every function under unknown arguments
-	// (sound, but blind to parameter provenance).
+	// StaticEntry is unused; kept only because perfbench/ reads it —
+	// delete in the next benchmark PR.
 	StaticEntry string
 }
 
@@ -109,12 +106,6 @@ type Stats struct {
 	// justifying check lives in ANOTHER block — the wins only the
 	// CFG-aware available-check dataflow can see.
 	ElidedPathSensitive int
-	// Always zero: the pass only removes checks, it never moves them
-	// (no loop hoisting, partial-redundancy insertion or value-numbered
-	// elision). perfbench still reads these fields.
-	HoistedChecks         int
-	PREInsertions         int
-	ValueNumberedElisions int
 	// CheckSites is the number of static OpTypeCheck sites that survived
 	// elision; each gets a stable 1-based site ID for the runtime's
 	// per-site inline caches.
@@ -124,11 +115,13 @@ type Stats struct {
 	// from the same counter as CheckSites so every site keeps its own
 	// inline-cache slot). Zero under NoIntrinsics.
 	IntrinsicSites int
-	// Always zero: no check is deleted by static proof (the static
-	// safety analysis only feeds StaticDiagnostics). perfbench still
-	// reads these fields.
-	ElidedStaticSafe     int
-	ElidedStaticResidual int
+	// Always zero. Unused; kept only because perfbench/ reads them —
+	// delete in the next benchmark PR.
+	HoistedChecks         int
+	PREInsertions         int
+	ValueNumberedElisions int
+	ElidedStaticSafe      int
+	ElidedStaticResidual  int
 }
 
 // Instrument returns an instrumented deep copy of p; the input program is
@@ -139,7 +132,10 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 	if opts.Variant == None {
 		return p.Clone(), st
 	}
-	out := insertChecks(p, opts, &st)
+	out := p.Clone()
+	for _, f := range out.Funcs {
+		instrumentFunc(out, f, opts, &st)
+	}
 	if !opts.NoOptimize {
 		for _, f := range out.Funcs {
 			elideChecks(f, &st)
@@ -147,16 +143,6 @@ func Instrument(p *mir.Program, opts Options) (*mir.Program, Stats) {
 	}
 	assignSiteIDs(out, opts, &st)
 	return out, st
-}
-
-// insertChecks returns a deep copy of p with every Fig. 3 check
-// inserted and none elided yet.
-func insertChecks(p *mir.Program, opts Options, st *Stats) *mir.Program {
-	out := p.Clone()
-	for _, f := range out.Funcs {
-		instrumentFunc(out, f, opts, st)
-	}
-	return out
 }
 
 // instrumentFunc rewrites one function in place.

@@ -154,26 +154,8 @@ type Desc struct {
 	// NeedsCmp requires the call to carry a comparator function name in
 	// Instr.Str (qsort).
 	NeedsCmp bool
-	// Abs is the intrinsic's compile-time transfer summary, consumed by
-	// the static safety analysis (mir.AnalyzeSafety).
-	Abs Summary
 	// Run executes the intrinsic and returns its value (0 for void).
 	Run func(c *Ctx) uint64
-}
-
-// Summary abstracts an intrinsic's behaviour for static analysis: which
-// pointer arguments it deallocates, whether its integer result is
-// provably non-negative, and — for NeedsCmp intrinsics — which
-// argument's elements are handed to the re-entered comparator.
-type Summary struct {
-	// FreesArgs lists Args indices whose referent may be deallocated by
-	// the call (free's argument; empty for the pure-memory family).
-	FreesArgs []int
-	// RetNonNeg marks an integer result that is always >= 0 (strlen).
-	RetNonNeg bool
-	// CmpElemArg is the Args index whose elements reach the comparator
-	// named in Instr.Str. Only meaningful when NeedsCmp is set.
-	CmpElemArg int
 }
 
 // NumSites returns how many check-site IDs a checked call to this
@@ -288,7 +270,6 @@ var registry = map[string]*Desc{
 	},
 	"strlen": {
 		Name: "strlen", NumArgs: 1, PtrArgs: []bool{true}, Ret: ctypes.Long,
-		Abs: Summary{RetNonNeg: true},
 		Run: func(c *Ctx) uint64 {
 			p := c.Args[0]
 			n, _ := scanNUL(c, p)
@@ -302,7 +283,6 @@ var registry = map[string]*Desc{
 	},
 	"free": {
 		Name: "free", NumArgs: 1, PtrArgs: []bool{true},
-		Abs: Summary{FreesArgs: []int{0}},
 		Run: func(c *Ctx) uint64 {
 			// Interior-pointer and double frees are detected inside the
 			// environment's type_free, which reports and refuses — the
@@ -315,7 +295,7 @@ var registry = map[string]*Desc{
 	},
 	"qsort": {
 		Name: "qsort", NumArgs: 3, PtrArgs: []bool{true, false, false},
-		NeedsCmp: true, Abs: Summary{CmpElemArg: 0},
+		NeedsCmp: true,
 		Run: func(c *Ctx) uint64 {
 			base, n, size := c.Args[0], c.Args[1], c.Args[2]
 			if c.RT != nil && n > 0 {

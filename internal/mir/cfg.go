@@ -1,9 +1,8 @@
 package mir
 
 // This file provides the control-flow graph the §5.3 check-elision pass
-// and the static safety analysis run on: block successors/predecessors
-// derived from the terminators (OpJmp/OpBr/OpRet) and a reverse
-// postorder.
+// runs on: block successors/predecessors derived from the terminators
+// (OpJmp/OpBr/OpRet) and a reverse postorder.
 //
 // The paper's optimiser runs on LLVM IR with full CFG visibility; the
 // reproduction's instrument pass previously reused checks within one

@@ -33,38 +33,16 @@ package mir
 //     it must be reflexive and agree with Meet (Equal(a, Meet(a, a))).
 //
 // Termination requires the usual conditions: Transfer monotone and the
-// lattice of reachable values of finite height — or, for infinite-height
-// lattices (intervals), a Widen operator.
+// lattice of reachable values of finite height.
 type ForwardProblem[F any] struct {
 	Entry    func() F
 	Transfer func(b int, in F) F
 	Meet     func(a, b F) F
 	Equal    func(a, b F) bool
 
-	// EdgeTransfer, when non-nil, refines a predecessor's out-state for
-	// one specific CFG edge before it is merged by Meet. It receives the
-	// edge (from, to) and from's out-state and must return a state no
-	// larger than its input (it may only ADD facts / narrow values —
-	// e.g. branch-condition refinement on the two sides of an OpBr). It
-	// must not mutate out.
-	EdgeTransfer func(from, to int, out F) F
-
-	// Widen, when non-nil, is applied to a block's in-state after the
-	// block has been visited WidenAfter times: in' = Widen(prev, next)
-	// where prev is the last solved in-state. Widen must return an upper
-	// bound of both arguments and must guarantee stabilisation: every
-	// chain prev, Widen(prev, next1), Widen(..., next2), ... reaches a
-	// fixed element in finitely many steps (for intervals, by jumping
-	// unstable ends to ±∞). When next ⊑ prev it should return prev, so
-	// an already-stable state is left untouched.
-	Widen func(prev, next F) F
-	// WidenAfter is the per-block visit count after which Widen kicks
-	// in; 0 means a default of 4. Ignored when Widen is nil.
-	WidenAfter int
-
 	// MaxVisits caps how many times a single block may be processed; 0
 	// means a default of 10000. Exceeding the cap panics: with a correct
-	// (monotone, widened) problem the solver converges in far fewer
+	// (monotone, finite-height) problem the solver converges in far fewer
 	// visits, so hitting the cap means a buggy transfer function, and a
 	// loud stop beats an infinite loop.
 	MaxVisits int
@@ -87,10 +65,6 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 	inQueue := make([]bool, n)
 	visits := make([]int, n)
 
-	widenAfter := p.WidenAfter
-	if widenAfter <= 0 {
-		widenAfter = 4
-	}
 	maxVisits := p.MaxVisits
 	if maxVisits <= 0 {
 		maxVisits = 10000
@@ -115,15 +89,11 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 				if !hasOut[pr] {
 					continue // ⊤: identity of Meet
 				}
-				o := out[pr]
-				if p.EdgeTransfer != nil {
-					o = p.EdgeTransfer(pr, b, o)
-				}
 				if first {
-					newIn = o
+					newIn = out[pr]
 					first = false
 				} else {
-					newIn = p.Meet(newIn, o)
+					newIn = p.Meet(newIn, out[pr])
 				}
 			}
 			if first {
@@ -136,10 +106,7 @@ func SolveForward[F any](c *CFG, p ForwardProblem[F]) (in []F, solved []bool) {
 		visits[b]++
 		if visits[b] > maxVisits {
 			panic("mir: SolveForward: block revisited beyond MaxVisits; " +
-				"transfer function is non-monotone or the lattice needs a Widen operator")
-		}
-		if p.Widen != nil && solved[b] && visits[b] > widenAfter {
-			newIn = p.Widen(in[b], newIn)
+				"transfer function is non-monotone or the lattice has infinite height")
 		}
 		in[b] = newIn
 		solved[b] = true

@@ -156,135 +156,64 @@ func TestSolveForwardIrreducible(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Infinite-height lattices: widening and the non-monotone backstop.
-
-// TestWidenItvTable pins the interval widening operator the abstract
-// interpretation (absint.go) hands to SolveForward: stable ends are
-// kept exactly, moving ends jump straight to ±∞ — so every widening
-// chain stabilises in at most two steps per end, which is what makes
-// the solver terminate over the infinite-height interval lattice.
-func TestWidenItvTable(t *testing.T) {
-	cases := []struct {
-		name       string
-		prev, next itv
-		want       itv
-	}{
-		{"stable", itv{0, 5}, itv{0, 5}, itv{0, 5}},
-		{"shrinking keeps prev", itv{0, 5}, itv{1, 4}, itv{0, 5}},
-		{"hi moving jumps to +inf", itv{0, 0}, itv{0, 1}, itv{0, posInf}},
-		{"lo moving jumps to -inf", itv{0, 0}, itv{-1, 0}, itv{negInf, 0}},
-		{"both moving jumps to top", itv{0, 0}, itv{-1, 1}, topItv()},
-		{"inf ends already stable", itv{0, posInf}, itv{0, posInf}, itv{0, posInf}},
-		{"top absorbs everything", topItv(), itv{-99, 99}, topItv()},
-	}
-	for _, c := range cases {
-		if got := widenItv(c.prev, c.next); got != c.want {
-			t.Errorf("%s: widen(%v, %v) = %v, want %v", c.name, c.prev, c.next, got, c.want)
-		}
-		// The operator contract: an upper bound of both arguments...
-		w := widenItv(c.prev, c.next)
-		if joinItv(joinItv(c.prev, c.next), w) != w {
-			t.Errorf("%s: widen(%v, %v) = %v is not an upper bound", c.name, c.prev, c.next, w)
-		}
-		// ...that the next widening step leaves fixed for any larger
-		// state: moved ends sit at ±∞ (nothing is beyond them), kept
-		// ends were stable by definition. Two steps is the ceiling.
-		grown := joinItv(w, itv{w.lo, satAdd(w.hi, 1)})
-		grown = joinItv(grown, itv{satAdd(w.lo, -1), w.hi})
-		w2 := widenItv(w, grown)
-		if w3 := widenItv(w2, joinItv(w2, grown)); w3 != w2 {
-			t.Errorf("%s: widening chain did not stabilise: %v -> %v -> %v", c.name, w, w2, w3)
-		}
-	}
-}
+// The MaxVisits backstop.
 
 // counterProblem is the canonical infinite-ascending-chain instance: an
-// interval abstract counter over buildLoop's CFG (entry(0) -> head(1);
-// head -> {body(2), exit(3)}; body -> head) where the body increments
-// the interval — without widening the head's in-state grows by one
-// forever; with widenItv it must reach [0, +inf] and stop.
-func counterProblem(widen bool) ForwardProblem[itv] {
-	p := ForwardProblem[itv]{
-		Entry: func() itv { return itv{0, 0} },
-		Transfer: func(b int, in itv) itv {
+// unbounded int counter over buildLoop's CFG (entry(0) -> head(1);
+// head -> {body(2), exit(3)}; body -> head) whose body increments it
+// and whose meet is max — the head's in-state grows by one per trip
+// around the loop and never stabilises.
+func counterProblem() ForwardProblem[int] {
+	return ForwardProblem[int]{
+		Entry: func() int { return 0 },
+		Transfer: func(b int, in int) int {
 			if b == 2 { // body: i = i + 1
-				return addItv(in, itv{1, 1})
+				return in + 1
 			}
 			return in
 		},
-		Meet:  joinItv,
-		Equal: func(a, b itv) bool { return a == b },
-		// Fail fast instead of looping for 10000 visits when the widening
-		// under test is broken (or absent, in the panic test).
+		Meet:  func(a, b int) int { return max(a, b) },
+		Equal: func(a, b int) bool { return a == b },
+		// Fail fast instead of looping for 10000 visits.
 		MaxVisits: 64,
 	}
-	if widen {
-		p.Widen = widenItv
-	}
-	return p
 }
 
-// TestSolveForwardWideningTerminates proves termination on the
-// infinite-height interval lattice: the widened counter loop converges
-// well inside the tight MaxVisits budget, to the sound head state
-// [0, +inf] (the counter never goes below its entry value, and the
-// widening gave up on the moving upper end).
-func TestSolveForwardWideningTerminates(t *testing.T) {
-	f := buildLoop(t)
-	in, solved := SolveForward(NewCFG(f), counterProblem(true))
-	for b := 0; b < 4; b++ {
-		if !solved[b] {
-			t.Fatalf("block %d unsolved", b)
-		}
-	}
-	if want := (itv{0, posInf}); in[1] != want {
-		t.Errorf("in[head] = %v, want %v", in[1], want)
-	}
-	if in[2].lo != 0 || in[3].lo != 0 {
-		t.Errorf("counter lower bound lost: body %v, exit %v", in[2], in[3])
-	}
-}
-
-// TestSolveForwardUnwidenedPanics is the regression companion: the SAME
-// problem without its Widen operator must be caught by the MaxVisits
-// backstop — a loud panic, not an infinite loop (the ascending chain
-// 0..1, 0..2, ... never stabilises on its own).
+// TestSolveForwardUnwidenedPanics: a problem over an infinite-height
+// lattice must be caught by the MaxVisits backstop — a loud panic, not
+// an infinite loop (the ascending chain 0, 1, 2, ... never stabilises on
+// its own).
 func TestSolveForwardUnwidenedPanics(t *testing.T) {
 	f := buildLoop(t)
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("unwidened infinite-height problem did not panic")
+			t.Fatal("infinite-height problem did not panic")
 		}
 		if s, ok := r.(string); !ok || !strings.Contains(s, "MaxVisits") {
 			t.Fatalf("panic = %v, want the MaxVisits diagnostic", r)
 		}
 	}()
-	SolveForward(NewCFG(f), counterProblem(false))
+	SolveForward(NewCFG(f), counterProblem())
 }
 
 // TestSolveForwardNonMonotonePanics: a transfer function that
 // oscillates between two states (non-monotone — a larger input maps to
-// an incomparable output) can never converge; the solver must detect
-// the livelock via MaxVisits and panic rather than spin.
+// a smaller output) can never converge; the solver must detect the
+// livelock via MaxVisits and panic rather than spin.
 func TestSolveForwardNonMonotonePanics(t *testing.T) {
 	f := buildLoop(t)
 	flip := 0
-	p := ForwardProblem[itv]{
-		Entry: func() itv { return itv{0, 0} },
-		Transfer: func(b int, in itv) itv {
-			if b == 2 {
-				flip++
-				if flip%2 == 0 {
-					return itv{1, 1}
-				}
-				return itv{2, 2}
+	p := counterProblem()
+	p.Transfer = func(b int, in int) int {
+		if b == 2 {
+			flip++
+			if flip%2 == 0 {
+				return 1
 			}
-			return in
-		},
-		Meet:      joinItv,
-		Equal:     func(a, b itv) bool { return a == b },
-		MaxVisits: 64,
+			return 2
+		}
+		return in
 	}
 	defer func() {
 		r := recover()
@@ -296,42 +225,4 @@ func TestSolveForwardNonMonotonePanics(t *testing.T) {
 		}
 	}()
 	SolveForward(NewCFG(f), p)
-}
-
-// TestSolveForwardEdgeTransfer: EdgeTransfer refines one specific CFG
-// edge's contribution before the meet — the mechanism branch-condition
-// refinement rides on. On the diamond, each arm sees its own clamped
-// copy of the entry's out-state, and the join recovers the full range.
-func TestSolveForwardEdgeTransfer(t *testing.T) {
-	f := buildDiamond(t) // entry(0) -> {left(1), right(2)} -> join(3)
-	p := ForwardProblem[itv]{
-		Entry:    func() itv { return itv{0, 10} },
-		Transfer: func(b int, in itv) itv { return in },
-		Meet:     joinItv,
-		Equal:    func(a, b itv) bool { return a == b },
-		EdgeTransfer: func(from, to int, out itv) itv {
-			if from == 0 && to == 1 && out.hi > 4 {
-				out.hi = 4 // then-edge: value < 5
-			}
-			if from == 0 && to == 2 && out.lo < 5 {
-				out.lo = 5 // else-edge: value >= 5
-			}
-			return out
-		},
-	}
-	in, solved := SolveForward(NewCFG(f), p)
-	for b := 0; b < 4; b++ {
-		if !solved[b] {
-			t.Fatalf("block %d unsolved", b)
-		}
-	}
-	if want := (itv{0, 4}); in[1] != want {
-		t.Errorf("in[left] = %v, want %v", in[1], want)
-	}
-	if want := (itv{5, 10}); in[2] != want {
-		t.Errorf("in[right] = %v, want %v", in[2], want)
-	}
-	if want := (itv{0, 10}); in[3] != want {
-		t.Errorf("in[join] = %v, want %v", in[3], want)
-	}
 }

@@ -20,8 +20,8 @@
 // mirroring how runtime-interception tools work.
 //
 // CFG (cfg.go) provides the control-flow graph the instrumenter's §5.3
-// elision pass and the static safety analysis run on: successors and
-// predecessors from the block terminators and a reverse postorder.
+// elision pass runs on: successors and predecessors from the block
+// terminators and a reverse postorder.
 package mir
 
 import (

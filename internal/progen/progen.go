@@ -70,17 +70,17 @@ type Options struct {
 	// (internal/difftest).
 	LibCalls bool
 	// StaticSafe emits the statically-provable workload: constant-extent
-	// global and local arrays walked by loops whose bounds the
-	// interprocedural abstract interpretation (internal/mir.AnalyzeSafety)
-	// proves — `for (i = 0; i < N; i++)` over `T tab[N]` — plus a
+	// global and local arrays walked by loops whose guards bound every
+	// access — `for (i = 0; i < N; i++)` over `T tab[N]` — plus a
 	// monomorphic downcast helper re-deriving the allocation's own type
 	// at offset 0 and a char-coercion byte walk. Every check in these
-	// helpers is provably in-bounds by STATIC reasoning alone: no
-	// dominating dynamic check covers them (the arrays are globals and
-	// locals, each helper sees the pointer fresh), so the dynamic
-	// elision pass cannot remove them and they all execute. Feeds the
-	// static safety analysis' corpus (its golden verdicts) and the
-	// progen-staticsafe Fig. 8 row.
+	// helpers could be proven in-bounds statically, but no dominating
+	// dynamic check covers them (the arrays are globals and locals,
+	// each helper sees the pointer fresh), so the dynamic elision pass
+	// cannot remove them and they all execute. The shape is kept for
+	// corpus compatibility: the progen-staticsafe Fig. 8 row, the
+	// benchmark's static-interior workload and the difftest corpus byte
+	// that selects it.
 	StaticSafe bool
 	// TypeExplosion emits this many extra struct types — the
 	// type-population stress for the layout-metadata layer. The shapes
@@ -545,25 +545,23 @@ long lib_sort(long *v, int n) {
 // emitStaticSafe emits the statically-provable helpers over
 // constant-extent allocations (see Options.StaticSafe). The backing
 // stores are a global long array, a global struct array and a local
-// array — never freed, never leaked — so the abstract interpreter's
-// provenance survives to every check site:
+// array — never freed, never leaked:
 //
 //   - stat_walk / stat_tick walk a caller-supplied array with a
 //     `for (i = 0; i < n; i++)` loop whose bound arrives
-//     interprocedurally as a constant: branch refinement pins i below
-//     the extent, so every bounds check is STATIC-SAFE;
+//     interprocedurally as a constant that keeps i below the extent;
 //   - stat_cast re-derives the allocation's own element type from a
 //     long* at offset 0 every iteration — the monomorphic downcast
 //     whose type check resolves to whole-allocation bounds
 //     memo-independently (the exact-match fast path);
 //   - stat_bytes walks the bytes through a char*, the coercion the
 //     runtime accepts at any in-bounds offset;
-//   - stat_local proves a frame-local array: the alloca never escapes,
+//   - stat_local walks a frame-local array: the alloca never escapes,
 //     so its extent is exact.
 //
 // Each helper sees its pointer as a fresh parameter (Wide bounds at
 // entry), so no dominating dynamic check exists for the elision pass
-// to reuse — these sites fall to static reasoning or nobody.
+// to reuse, and every check executes.
 func (g *gen) emitStaticSafe() {
 	g.statTabN = 8 + g.r.Intn(9) // long stat_tab[8..16]
 	g.statRecN = 2 + g.r.Intn(5) // struct GenStat gstat[2..6]
@@ -695,11 +693,10 @@ long xtouch_double(double *p) { p[0] = p[0] + 1.0; return (long)p[0]; }
 	for c := 0; c < g.xChunks; c++ {
 		g.pf("long xheat_%d() {\n", c)
 		g.pf("    long acc = 0;\n")
-		// The element index is loaded from the heap: loaded values are
-		// Top to the static safety analysis (mir/absint), so it proves
-		// nothing about the accesses below. The runtime value is still
-		// deterministically 1, so the program stays clean by
-		// construction.
+		// The element index is loaded from the heap, so no static
+		// reasoning about the accesses below is possible. The runtime
+		// value is still deterministically 1, so the program stays clean
+		// by construction.
 		g.pf("    long *xi = malloc(1 * sizeof(long));\n")
 		g.pf("    xi[0] = 1;\n")
 		g.pf("    int xk = (int)xi[0];\n")

@@ -30,8 +30,7 @@ import "repro/internal/progen"
 //     provably-bounded loops and monomorphic downcasts — every check
 //     is in-bounds by static reasoning alone and covered by no
 //     dominating dynamic check, so every bar executes them; the row
-//     prices checks no elision removes and is part of the static
-//     safety analysis' golden corpus.
+//     prices checks no elision removes.
 func Synthetic() []*Benchmark {
 	return []*Benchmark{
 		{
